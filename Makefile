@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci build test vet race bench bench-json fuzz-smoke test-shard-faults
+.PHONY: ci build test vet race bench bench-json fuzz-smoke test-shard-faults check-run-patterns
 
-ci: vet test race test-shard-faults fuzz-smoke
+ci: vet check-run-patterns test race test-shard-faults fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ race:
 	$(GO) test -race -count=2 ./internal/store/...
 	$(GO) test -race -count=2 ./internal/jobs/...
 
+# `go test -run X` passes when X matches no test, so every -run pattern in
+# this Makefile and in .github/workflows/ci.yml must still name a test —
+# a renamed test must not turn a gate into a silent no-op.
+check-run-patterns:
+	GO=$(GO) bash scripts/check-run-patterns.sh
+
 # The coordinator fault suite: hedging (fires/wins/loser-cancelled/
 # duplicate-rejected), dynamic membership mid-fan-out, churn under load,
 # ring movement properties, and batch fan-out — twice under the race
@@ -41,11 +47,13 @@ race:
 test-shard-faults:
 	$(GO) test -race -count=2 -run 'TestHedge|TestDuplicate|TestMembership|TestWatchPeers|TestBatch|TestRing' ./internal/shard/
 
-# Short coverage-guided run of the wire fuzzer (v4 frames: solve and
-# job-status messages included); the committed corpus seeds always replay,
-# this adds a few seconds of mutation on top as a PR smoke.
+# Short coverage-guided runs of the wire fuzzer (every message type) and
+# the HTTP handler fuzzer (sketch, put and patch bodies against a live
+# service); the committed corpus seeds always replay, this adds a few
+# seconds of mutation on top as a PR smoke.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run FuzzWireRoundtrip -fuzz FuzzWireRoundtrip -fuzztime 5s
+	$(GO) test ./internal/server -run FuzzSketchHandler -fuzz FuzzSketchHandler -fuzztime 5s
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

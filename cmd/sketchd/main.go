@@ -73,7 +73,6 @@ func main() {
 		peerCooldown  = flag.Duration("peer-cooldown", 5*time.Second, "how long a failed peer is avoided by shard routing")
 		hedgeQuantile = flag.Float64("hedge-quantile", 0, "latency quantile after which a slow shard RPC is hedged to the next peer (0 = off; try 0.95)")
 		hedgeMaxDelay = flag.Duration("hedge-max-delay", 100*time.Millisecond, "hedge delay cap, also used while a peer's latency window is cold")
-		shardBatch    = flag.Bool("shard-batch", true, "group same-peer shards of a request into one batch frame")
 
 		faultDelay = flag.Duration("fault-delay", 0, "TESTING: delay every sketch on this worker (straggler injection for hedging benchmarks)")
 	)
@@ -127,7 +126,6 @@ func main() {
 			PeerCooldown:  *peerCooldown,
 			HedgeQuantile: *hedgeQuantile,
 			HedgeMaxDelay: *hedgeMaxDelay,
-			DisableBatch:  !*shardBatch,
 			StoreBytes:    *storeMB << 20,
 		})
 		if err != nil {

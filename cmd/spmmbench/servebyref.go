@@ -148,7 +148,7 @@ func byrefSuite() {
 	// Phase 1 — inline: every request carries the full matrix body.
 	var refAhat *dense.Matrix
 	var refMu sync.Mutex
-	before := srv.Stats().Server
+	before := scrapeTransport(base)
 	inlineLats, inlineWall := byrefReplay(budget, func(c int) error {
 		ahat, _, err := cls[c].Sketch(ctx, a, d, opts)
 		if err != nil {
@@ -161,10 +161,10 @@ func byrefSuite() {
 		refMu.Unlock()
 		return nil
 	})
-	after := srv.Stats().Server
+	after := scrapeTransport(base)
 	inlinePerReq := int64(0)
-	if reqs := after.Requests - before.Requests; reqs > 0 {
-		inlinePerReq = (after.BytesIn - before.BytesIn) / reqs
+	if reqs := after.requests - before.requests; reqs > 0 {
+		inlinePerReq = (after.bytesIn - before.bytesIn) / reqs
 	}
 
 	// Phase 2 — by reference: seed once (upload), then replay fingerprints.
@@ -175,7 +175,7 @@ func byrefSuite() {
 	}
 	bitOK := bitEqual(refAhat, seedAhat)
 	fp := a.Fingerprint()
-	before = srv.Stats().Server
+	before = scrapeTransport(base)
 	byrefLats, byrefWall := byrefReplay(budget, func(c int) error {
 		ahat, _, err := cls[c].SketchRef(ctx, fp, d, opts)
 		if err != nil {
@@ -186,10 +186,10 @@ func byrefSuite() {
 		}
 		return nil
 	})
-	after = srv.Stats().Server
+	after = scrapeTransport(base)
 	byrefPerReq := int64(0)
-	if reqs := after.Requests - before.Requests; reqs > 0 {
-		byrefPerReq = (after.BytesIn - before.BytesIn) / reqs
+	if reqs := after.requests - before.requests; reqs > 0 {
+		byrefPerReq = (after.bytesIn - before.bytesIn) / reqs
 	}
 
 	// Phase 3 — PATCH: a small ΔA, then one by-ref sketch of the merge.

@@ -27,7 +27,7 @@ import (
 // goroutine encodes its CSC input, POSTs it to 127.0.0.1, and decodes the
 // sketch back. Reported next to the server-side (in-process) latency
 // histogram, the client-side end-to-end quantiles isolate what the network
-// layer costs — codec, HTTP framing, loopback TCP — and the /stats byte
+// layer costs — codec, HTTP framing, loopback TCP — and the /metrics byte
 // counters give the wire traffic per request, which stays O(nnz(A) + d·n)
 // because S never crosses the network.
 
@@ -86,6 +86,19 @@ func scrapeMetrics(base string) map[string]float64 {
 		}
 	}
 	return out
+}
+
+// transportCounters are the server's sketchsp_http_* request and byte
+// counters, read from /metrics.
+type transportCounters struct{ requests, bytesIn, bytesOut int64 }
+
+func scrapeTransport(base string) transportCounters {
+	m := scrapeMetrics(base)
+	return transportCounters{
+		requests: int64(m["sketchsp_http_requests_total"]),
+		bytesIn:  int64(m["sketchsp_http_request_bytes_total"]),
+		bytesOut: int64(m["sketchsp_http_response_bytes_total"]),
+	}
 }
 
 // quantileExact returns the q-quantile of sorted durations.
@@ -168,8 +181,8 @@ func serveHTTPSuite() {
 	wg.Wait()
 	wall := time.Since(start)
 
-	snap := srv.Stats()
-	st := snap.Service
+	st := svc.Stats()
+	tc := scrapeTransport(base)
 	lookups := st.Hits + st.Misses
 	hitRate := 0.0
 	if lookups > 0 {
@@ -194,9 +207,9 @@ func serveHTTPSuite() {
 	e2eP99 := quantileExact(all, 0.99)
 
 	var bytesInPerReq, bytesOutPerReq int64
-	if snap.Server.Requests > 0 {
-		bytesInPerReq = snap.Server.BytesIn / snap.Server.Requests
-		bytesOutPerReq = snap.Server.BytesOut / snap.Server.Requests
+	if tc.requests > 0 {
+		bytesInPerReq = tc.bytesIn / tc.requests
+		bytesOutPerReq = tc.bytesOut / tc.requests
 	}
 
 	fmt.Printf("\nSERVE-HTTP SUITE — %d requests over loopback HTTP, %d clients, cache %d/%d matrices, GOMAXPROCS=%d\n",

@@ -61,7 +61,7 @@ type shardCurvePoint struct {
 	E2EP95us    int64   `json:"e2e_p95_us"`
 	HitRate     float64 `json:"worker_cache_hit_rate"`
 	PlanBuilds  float64 `json:"worker_plan_builds"`
-	Speedup     float64 `json:"speedup_vs_1_worker"`
+	Speedup     float64 `json:"speedup_vs_1_worker,omitempty"` // set only when the sweep measured 1 worker
 }
 
 // serveShardRecord is the JSON schema of a -serve-shard run (BENCH_PR6.json).
@@ -76,7 +76,7 @@ type serveShardRecord struct {
 	Clients       int               `json:"clients"`
 	Matrices      int               `json:"matrices"`
 	Curve         []shardCurvePoint `json:"curve"`
-	Speedup4v1    float64           `json:"speedup_4_workers_vs_1"`
+	Speedup4v1    float64           `json:"speedup_4_workers_vs_1,omitempty"`
 }
 
 // buildSketchdBin compiles the daemon into a temp dir for the subprocess
@@ -308,16 +308,11 @@ func runShardCurve(bin string, mix shardReplayMix, counts []int, shardCfg shard.
 			HitRate:     hitRate,
 			PlanBuilds:  builds,
 		}
-		if len(curve) > 0 && curve[0].ThroughputS > 0 {
-			pt.Speedup = pt.ThroughputS / curve[0].ThroughputS
-		} else {
-			pt.Speedup = 1
-		}
 		curve = append(curve, pt)
-		fmt.Printf("  %d worker(s): %6.0f req/s   wall %8v   p50 %8v   p95 %8v   hit rate %5.1f%%   plan builds %5.0f   speedup %.2fx\n",
+		fmt.Printf("  %d worker(s): %6.0f req/s   wall %8v   p50 %8v   p95 %8v   hit rate %5.1f%%   plan builds %5.0f\n",
 			nw, pt.ThroughputS, wall.Round(time.Millisecond),
 			quantileExact(all, 0.50), quantileExact(all, 0.95),
-			100*hitRate, builds, pt.Speedup)
+			100*hitRate, builds)
 
 		coord.Close()
 		for _, stop := range stops {
@@ -358,12 +353,13 @@ func serveShardSuite() {
 	fmt.Printf("  (single-core host: the curve measures aggregate plan-cache capacity + shard routing affinity, not compute parallelism)\n")
 
 	curve := runShardCurve(bin, mix, counts, shard.Config{})
-
-	speedup := 0.0
-	if len(curve) > 1 && curve[0].ThroughputS > 0 {
-		speedup = curve[len(curve)-1].ThroughputS / curve[0].ThroughputS
+	printSpeedups(curve)
+	var speedup4v1 float64
+	for _, pt := range curve {
+		if pt.Workers == 4 {
+			speedup4v1 = pt.Speedup
+		}
 	}
-	fmt.Printf("  %d-worker vs 1-worker speedup: %.2fx\n", curve[len(curve)-1].Workers, speedup)
 
 	if *jsonOut != "" {
 		rec := serveShardRecord{
@@ -379,7 +375,7 @@ func serveShardSuite() {
 			Clients:       *clients,
 			Matrices:      len(mix.wls),
 			Curve:         curve,
-			Speedup4v1:    speedup,
+			Speedup4v1:    speedup4v1,
 		}
 		buf, err := json.MarshalIndent(rec, "", "  ")
 		if err != nil {
@@ -393,6 +389,28 @@ func serveShardSuite() {
 		}
 		fmt.Printf("(wrote %s)\n", *jsonOut)
 	}
+}
+
+// printSpeedups fills each curve point's Speedup as its throughput over
+// the 1-worker point's and prints them. A sweep without a 1-worker point
+// has no baseline: nothing is filled and the summary says so.
+func printSpeedups(curve []shardCurvePoint) {
+	var base float64
+	for _, pt := range curve {
+		if pt.Workers == 1 {
+			base = pt.ThroughputS
+		}
+	}
+	if base <= 0 {
+		fmt.Printf("  speedup vs 1 worker: not measured (the sweep has no 1-worker point)\n")
+		return
+	}
+	fmt.Printf("  speedup vs 1 worker:")
+	for i := range curve {
+		curve[i].Speedup = curve[i].ThroughputS / base
+		fmt.Printf("  %dw %.2fx", curve[i].Workers, curve[i].Speedup)
+	}
+	fmt.Println()
 }
 
 func sortDurations(ds []time.Duration) {

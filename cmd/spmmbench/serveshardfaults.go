@@ -73,7 +73,7 @@ type shardFaultsRecord struct {
 	D                int               `json:"d"`
 	Clients          int               `json:"clients"`
 	Curve            []shardCurvePoint `json:"curve"`
-	CurveSpeedup     float64           `json:"curve_speedup_last_vs_1"`
+	CurveSpeedup     float64           `json:"curve_speedup_last_vs_1,omitempty"`
 	StragglerDelayMS float64           `json:"straggler_delay_ms"`
 	HedgeQuantile    float64           `json:"hedge_quantile"`
 	HedgeMaxDelayMS  float64           `json:"hedge_max_delay_ms"`
@@ -304,10 +304,8 @@ func serveShardFaultsSuite() {
 	// Phase 1: the PR6 scaling curve, re-run for regression tracking.
 	fmt.Printf(" scaling curve (%d requests/point):\n", *requests)
 	curve := runShardCurve(bin, mix, parseWorkerCounts(), shard.Config{})
-	curveSpeedup := 0.0
-	if len(curve) > 1 && curve[0].ThroughputS > 0 {
-		curveSpeedup = curve[len(curve)-1].ThroughputS / curve[0].ThroughputS
-	}
+	printSpeedups(curve)
+	curveSpeedup := curve[len(curve)-1].Speedup
 
 	// Phase 2: straggler A/B on a fixed 3-worker fleet whose third member
 	// delays every sketch.

@@ -39,30 +39,16 @@ func (c *Client) PutMatrix(ctx context.Context, a *sparse.CSC) (store.Info, erro
 }
 
 // SketchRef computes Â = S·A on the server for the already-uploaded matrix
-// fp: the request is a fixed 121-byte frame regardless of nnz(A). A server
-// that no longer holds fp fails with an error unwrapping to
-// store.ErrNotFound — use SketchCached for the self-curing path.
+// fp: the request is a fixed wire.SketchRefWireSize-byte frame regardless
+// of nnz(A). A server that no longer holds fp fails with an error
+// unwrapping to store.ErrNotFound — use SketchCached for the self-curing
+// path.
 func (c *Client) SketchRef(ctx context.Context, fp sparse.Fingerprint, d int, opts core.Options) (*dense.Matrix, core.Stats, error) {
-	body, err := wire.EncodeSketchRefFrame(&wire.SketchRefRequest{D: d, Opts: opts, Fp: fp})
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	payload, err := c.do(ctx, http.MethodPost, "/v1/sketch", body)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	resp, err := wire.DecodeResponse(payload)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	if err := resp.Err(); err != nil {
-		return nil, core.Stats{}, err
-	}
-	return resp.Ahat, resp.Stats, nil
+	return c.one(ctx, wire.SketchItem{D: d, Opts: opts, ByRef: true, Fp: fp})
 }
 
 // SketchCached sketches a by reference, uploading it first only when the
-// server does not hold it: try the 121-byte by-ref request, and on
+// server does not hold it: try the O(1) by-ref request, and on
 // StatusNotFound upload the matrix and retry once. Steady state ships
 // O(1) bytes per request; the O(nnz) upload happens once per server
 // residency. The answer is bit-identical to Sketch(a, d, opts) either way.

@@ -124,38 +124,25 @@ func (c *Client) Sketch(ctx context.Context, a *sparse.CSC, d int, opts core.Opt
 	if a == nil {
 		return nil, core.Stats{}, core.ErrNilMatrix
 	}
-	body, err := wire.EncodeRequestFrame(d, opts, a)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	payload, err := c.do(ctx, http.MethodPost, "/v1/sketch", body)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	resp, err := wire.DecodeResponse(payload)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	if err := resp.Err(); err != nil {
-		return nil, core.Stats{}, err
-	}
-	return resp.Ahat, resp.Stats, nil
+	return c.one(ctx, wire.SketchItem{D: d, Opts: opts, A: a})
 }
 
-// SketchBatch issues reqs as one batch request and returns the index-aligned
-// responses. The batch is retried as a whole only while every failure in it
-// is retryable (the server sheds whole batches at admission); per-item
-// outcomes are reported in the returned slice, not as an error.
-func (c *Client) SketchBatch(ctx context.Context, reqs []wire.SketchRequest) ([]wire.SketchResponse, error) {
-	if len(reqs) == 0 {
+// Do sends items as one sketch request and returns the index-aligned
+// responses. Every way of asking for a sketch — one or many, inline or by
+// fingerprint, whole matrix or placed column shard — is a list of items.
+// The request is retried as a whole only while every item failed with a
+// retryable status (the server sheds whole requests at admission);
+// per-item outcomes are reported in the returned slice, not as an error.
+func (c *Client) Do(ctx context.Context, items []wire.SketchItem) ([]wire.SketchResponse, error) {
+	if len(items) == 0 {
 		return nil, nil
 	}
-	for i := range reqs {
-		if reqs[i].A == nil {
-			return nil, fmt.Errorf("%w: batch item %d", core.ErrNilMatrix, i)
+	for i := range items {
+		if !items[i].ByRef && items[i].A == nil {
+			return nil, fmt.Errorf("%w: item %d", core.ErrNilMatrix, i)
 		}
 	}
-	body, err := wire.EncodeBatchRequestFrame(reqs)
+	body, err := wire.EncodeSketchRequestFrame(items)
 	if err != nil {
 		return nil, err
 	}
@@ -163,87 +150,37 @@ func (c *Client) SketchBatch(ctx context.Context, reqs []wire.SketchRequest) ([]
 	if err != nil {
 		return nil, err
 	}
-	rs, err := wire.DecodeBatchResponse(payload)
+	rs, err := wire.DecodeSketchResponse(payload)
 	if err != nil {
 		return nil, err
 	}
-	if len(rs) != len(reqs) {
-		// A server that fails before per-item decoding (malformed bytes,
-		// response too large to frame) answers with a single-element error
-		// batch; surface that status instead of a count-mismatch artifact.
+	if len(rs) != len(items) {
+		// A failure that hits the whole frame (bytes the server could not
+		// decode, a response too large to frame) comes back as one error
+		// item; surface that status instead of a count-mismatch artifact.
 		if len(rs) == 1 && rs[0].Status != wire.StatusOK {
 			return nil, rs[0].Err()
 		}
-		return nil, fmt.Errorf("%w: batch response count %d for %d requests", wire.ErrMalformed, len(rs), len(reqs))
+		return nil, fmt.Errorf("%w: sketch response count %d for %d items", wire.ErrMalformed, len(rs), len(items))
 	}
 	return rs, nil
 }
 
-// SketchShard computes the partial sketch of one column shard on the
-// server: S·A[:, j0:j1] shipped as a MsgShardRequest, answered with the
-// shard's columns of the full sketch. It shares Sketch's retry loop and
-// error taxonomy — the coordinator's fan-out is built on it, with its own
-// peer-failover layer on top of this client's per-peer retries.
-func (c *Client) SketchShard(ctx context.Context, req *wire.ShardRequest) (*wire.ShardResponse, error) {
-	if req == nil || req.A == nil {
-		return nil, core.ErrNilMatrix
-	}
-	body, err := wire.EncodeShardRequestFrame(req)
+// one runs a single item through Do and unpacks its outcome.
+func (c *Client) one(ctx context.Context, it wire.SketchItem) (*dense.Matrix, core.Stats, error) {
+	rs, err := c.Do(ctx, []wire.SketchItem{it})
 	if err != nil {
-		return nil, err
+		return nil, core.Stats{}, err
 	}
-	payload, err := c.do(ctx, http.MethodPost, "/v1/sketch", body)
-	if err != nil {
-		return nil, err
+	if err := rs[0].Err(); err != nil {
+		return nil, core.Stats{}, err
 	}
-	resp, err := wire.DecodeShardResponse(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := resp.Err(); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// SketchShardBatch issues several column shards of one sketch as a single
-// MsgShardBatchRequest — the coordinator's per-peer fan-out frame — and
-// returns the index-aligned shard responses. Retry semantics mirror
-// SketchBatch: the batch is reissued as a whole only while every item's
-// failure is retryable; per-item outcomes land in the returned slice.
-func (c *Client) SketchShardBatch(ctx context.Context, reqs []wire.ShardRequest) ([]wire.ShardResponse, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	for i := range reqs {
-		if reqs[i].A == nil {
-			return nil, fmt.Errorf("%w: shard batch item %d", core.ErrNilMatrix, i)
-		}
-	}
-	body, err := wire.EncodeShardBatchRequestFrame(reqs)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.do(ctx, http.MethodPost, "/v1/sketch", body)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := wire.DecodeShardBatchResponse(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(rs) != len(reqs) {
-		if len(rs) == 1 && rs[0].Status != wire.StatusOK {
-			return nil, rs[0].Err()
-		}
-		return nil, fmt.Errorf("%w: shard batch response count %d for %d requests", wire.ErrMalformed, len(rs), len(reqs))
-	}
-	return rs, nil
+	return rs[0].Ahat, rs[0].Stats, nil
 }
 
 // do sends the frame in body to path until it gets a decodable
 // response payload, a non-retryable failure, or runs out of retries. The
-// response payload is returned undecoded so single and batch callers share
+// response payload is returned undecoded so every endpoint's caller shares
 // the retry loop.
 func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	_, payload, err := c.doTyped(ctx, method, path, body)
@@ -330,92 +267,40 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 		return 0, nil, &transportError{err: fmt.Errorf("http %d: %w", hres.StatusCode, err)}
 	}
 	switch t {
-	case wire.MsgSketchResponse, wire.MsgBatchResponse, wire.MsgShardResponse,
-		wire.MsgShardBatchResponse, wire.MsgMatrixInfo, wire.MsgSolveResponse,
-		wire.MsgJobStatus:
+	case wire.MsgSketchResponse, wire.MsgMatrixInfo, wire.MsgSolveResponse, wire.MsgJobStatus:
 	default:
 		return 0, nil, fmt.Errorf("%w: unexpected response frame type %v", wire.ErrMalformed, t)
 	}
 	// Surface retryable wire statuses before handing the payload back, so
-	// the retry loop sees them uniformly for single and batch responses.
+	// the retry loop sees them uniformly for every response type.
 	if err := statusPeek(t, payload); err != nil {
 		return 0, nil, err
 	}
 	return t, payload, nil
 }
 
-// statusPeek extracts a retry-relevant error from a response payload: for a
-// single response its status, for a batch the overloaded status iff every
-// item carries a retryable (or equally shed) failure. Non-retryable statuses
-// return nil here — the caller decodes and reports them per item. Only
-// status bytes are peeked; matrices are never materialized (the caller's
-// decode stays the single full decode), and the one decode below is of an
-// error item, which carries only a detail string.
+// statusPeek extracts a retry-relevant error from a response payload: for
+// a sketch response the shared failure iff every item was shed
+// (wire.ShedError), for the single-status messages their status when it
+// is retryable. Non-retryable statuses return nil here — the caller
+// decodes and reports them. Only status bytes and error items are read;
+// matrices are never materialized, so the caller's decode stays the single
+// full decode.
 func statusPeek(t wire.MsgType, payload []byte) error {
-	if t == wire.MsgMatrixInfo {
-		st, err := wire.PeekStatus(payload)
-		if err != nil || !st.Retryable() {
-			return err
-		}
-		info, err := wire.DecodeMatrixInfo(payload)
-		if err != nil {
-			return err
-		}
-		return info.Err()
+	if t == wire.MsgSketchResponse {
+		return wire.ShedError(payload)
 	}
-	if t == wire.MsgSketchResponse || t == wire.MsgShardResponse {
-		st, err := wire.PeekStatus(payload)
-		if err != nil || !st.Retryable() {
-			return err
-		}
-		// A retryable status carries no matrix — both response layouts share
-		// the status+detail error form, so one decoder covers them.
-		resp, err := wire.DecodeResponse(payload)
-		if err != nil {
-			return err
-		}
-		return resp.Err()
-	}
-	if t == wire.MsgSolveResponse {
-		st, err := wire.PeekStatus(payload)
-		if err != nil || !st.Retryable() {
-			return err
-		}
-		resp, err := wire.DecodeSolveResponse(payload)
-		if err != nil {
-			return err
-		}
-		return resp.Err()
-	}
-	if t == wire.MsgJobStatus {
-		st, err := wire.PeekStatus(payload)
-		if err != nil || !st.Retryable() {
-			return err
-		}
-		js, err := wire.DecodeJobStatus(payload)
-		if err != nil {
-			return err
-		}
-		return js.Err()
-	}
-	items, err := wire.SplitBatchPayload(payload)
-	if err != nil || len(items) == 0 {
+	st, err := wire.PeekStatus(payload)
+	if err != nil || !st.Retryable() {
 		return err
 	}
-	for _, item := range items {
-		st, err := wire.PeekStatus(item)
-		if err != nil {
-			return err
-		}
-		if !st.Retryable() {
-			return nil
-		}
-	}
-	var first wire.SketchResponse
-	if err := wire.DecodeResponseInto(&first, items[0]); err != nil {
+	// A retryable status carries no result — the error forms of every
+	// single-status message are identical, so one decoder covers them.
+	info, err := wire.DecodeMatrixInfo(payload)
+	if err != nil {
 		return err
 	}
-	return first.Err() // whole batch shed → retry the whole batch
+	return info.Err()
 }
 
 // transportError marks failures below the wire protocol (dial, reset,

@@ -39,7 +39,7 @@ func testMatrix(t *testing.T) *sparse.CSC {
 	return a
 }
 
-// okResponseFrame builds a well-formed StatusOK single-response frame
+// okResponseFrame builds a well-formed StatusOK one-item response frame
 // carrying a recognisable 2x3 sketch.
 func okResponseFrame(t *testing.T) []byte {
 	t.Helper()
@@ -55,13 +55,13 @@ func okResponseFrame(t *testing.T) []byte {
 		Stats:  core.Stats{Samples: 6, Total: time.Millisecond},
 		Ahat:   ahat,
 	}
-	return mustFrame(wire.MsgSketchResponse, wire.AppendResponse(nil, &resp))
+	return mustFrame(wire.MsgSketchResponse, wire.AppendSketchResponse(nil, []wire.SketchResponse{resp}))
 }
 
-// errResponseFrame builds a non-OK single-response frame.
+// errResponseFrame builds a non-OK one-item response frame.
 func errResponseFrame(st wire.Status, detail string) []byte {
 	resp := wire.SketchResponse{Status: st, Detail: detail}
-	return mustFrame(wire.MsgSketchResponse, wire.AppendResponse(nil, &resp))
+	return mustFrame(wire.MsgSketchResponse, wire.AppendSketchResponse(nil, []wire.SketchResponse{resp}))
 }
 
 // stubServer runs an httptest server whose /v1/sketch handler pops the next
@@ -166,7 +166,7 @@ func TestSketchRetriesTransportError(t *testing.T) {
 }
 
 func TestSketchOversizedResponseNotRetried(t *testing.T) {
-	full := okResponseFrame(t) // 133 bytes, far over the tiny limit below
+	full := okResponseFrame(t) // 145 bytes, far over the tiny limit below
 
 	// An actual body beyond HeaderSize+MaxResponseBytes must surface
 	// ErrTooLarge from the single attempt — not a truncated-payload decode
@@ -253,7 +253,7 @@ func TestSketchBatchRetriesWholeShedBatch(t *testing.T) {
 		{Status: wire.StatusOverloaded, Detail: "shed"},
 		{Status: wire.StatusOverloaded, Detail: "shed"},
 	}
-	shedFrame := mustFrame(wire.MsgBatchResponse, wire.AppendBatchResponse(nil, shed))
+	shedFrame := mustFrame(wire.MsgSketchResponse, wire.AppendSketchResponse(nil, shed))
 
 	ahat := dense.NewMatrix(1, 1)
 	ahat.Col(0)[0] = 42
@@ -261,20 +261,20 @@ func TestSketchBatchRetriesWholeShedBatch(t *testing.T) {
 		{Status: wire.StatusOK, Ahat: ahat},
 		{Status: wire.StatusInvalidMatrix, Detail: "item 1 bad"},
 	}
-	okFrame := mustFrame(wire.MsgBatchResponse, wire.AppendBatchResponse(nil, ok))
+	okFrame := mustFrame(wire.MsgSketchResponse, wire.AppendSketchResponse(nil, ok))
 
 	srv, attempts := stubServer(t, []func(http.ResponseWriter, *http.Request){
 		replyFrame(shedFrame, http.StatusTooManyRequests),
 		replyFrame(okFrame, http.StatusOK),
 	})
 	c := New(srv.URL, fastCfg())
-	reqs := []wire.SketchRequest{
+	items := []wire.SketchItem{
 		{D: 2, A: testMatrix(t)},
 		{D: 3, A: testMatrix(t)},
 	}
-	rs, err := c.SketchBatch(context.Background(), reqs)
+	rs, err := c.Do(context.Background(), items)
 	if err != nil {
-		t.Fatalf("SketchBatch: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
 	if got := attempts.Load(); got != 2 {
 		t.Errorf("attempts = %d, want 2 (shed batch retried once)", got)
@@ -294,15 +294,15 @@ func TestSketchBatchMixedFailureNotRetried(t *testing.T) {
 		{Status: wire.StatusOverloaded, Detail: "shed"},
 		{Status: wire.StatusInvalidMatrix, Detail: "bad"},
 	}
-	frame := mustFrame(wire.MsgBatchResponse, wire.AppendBatchResponse(nil, mixed))
+	frame := mustFrame(wire.MsgSketchResponse, wire.AppendSketchResponse(nil, mixed))
 	srv, attempts := stubServer(t, []func(http.ResponseWriter, *http.Request){
 		replyFrame(frame, http.StatusOK),
 	})
 	c := New(srv.URL, fastCfg())
-	reqs := []wire.SketchRequest{{D: 2, A: testMatrix(t)}, {D: 2, A: testMatrix(t)}}
-	rs, err := c.SketchBatch(context.Background(), reqs)
+	items := []wire.SketchItem{{D: 2, A: testMatrix(t)}, {D: 2, A: testMatrix(t)}}
+	rs, err := c.Do(context.Background(), items)
 	if err != nil {
-		t.Fatalf("SketchBatch: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Errorf("attempts = %d, want 1: a partially-shed batch is not retried wholesale", got)

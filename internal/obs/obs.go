@@ -96,9 +96,9 @@ func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
 // histogram in the stack: bucket i counts observations in
 // [1µs·2^i, 1µs·2^(i+1)), i.e. 1µs up to ~34s, with bucket 0 absorbing
 // sub-microsecond observations and the last bucket everything slower. The
-// geometry is identical to the service latency histogram of PR 3, which is
-// what lets /metrics and /stats reconcile exactly — they read the same
-// buckets.
+// geometry is identical to the service latency histogram, which is what
+// lets /metrics and the in-process service.Stats snapshot reconcile
+// exactly — they read the same buckets.
 const HistBuckets = 26
 
 // BucketCeiling returns the inclusive upper edge of histogram bucket i —
@@ -210,7 +210,7 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 func (h *Histogram) SumNS() int64 { return h.sumNS.Load() }
 
 // MaxNS returns the largest observation in nanoseconds. Prometheus
-// histograms carry no max; this feeds the /stats JSON snapshot.
+// histograms carry no max; this feeds the service.Stats snapshot.
 func (h *Histogram) MaxNS() int64 { return h.maxNS.Load() }
 
 // Snapshot copies the bucket counters into dst. The copy is per-bucket

@@ -95,8 +95,9 @@ func TestE2EByRefBitIdentity(t *testing.T) {
 // the wire, SketchCached cures it with one upload, and from then on each
 // request ships a fixed-size frame instead of the O(nnz) matrix body.
 func TestE2EByRefNotFoundAndCachedPayload(t *testing.T) {
-	base, _, srv := startServer(t, service.Config{}, Config{})
+	base, _, _ := startServer(t, service.Config{}, Config{})
 	c := client.New(base, client.Config{})
+	bytesIn := func() int64 { return int64(scrapeMetric(t, base, "sketchsp_http_request_bytes_total")) }
 
 	a := sparse.PowerLaw(2000, 300, 40000, 1.0, 13)
 	opts := core.Options{Dist: rng.Rademacher, Seed: 21, Workers: 2}
@@ -109,7 +110,7 @@ func TestE2EByRefNotFoundAndCachedPayload(t *testing.T) {
 	want := directAhat(t, a, d, opts)
 
 	// First SketchCached: miss → upload → retry. Costs the matrix bytes.
-	before := srv.Stats().Server.BytesIn
+	before := bytesIn()
 	got, _, err := c.SketchCached(context.Background(), a, d, opts)
 	if err != nil {
 		t.Fatalf("SketchCached (cold): %v", err)
@@ -117,14 +118,14 @@ func TestE2EByRefNotFoundAndCachedPayload(t *testing.T) {
 	if err := bitIdentical(want, got); err != nil {
 		t.Fatalf("cold SketchCached differs from direct: %v", err)
 	}
-	coldBytes := srv.Stats().Server.BytesIn - before
+	coldBytes := bytesIn() - before
 	if floor := int64(16 * a.NNZ()); coldBytes < floor {
 		t.Fatalf("cold path shipped %d bytes, expected at least the %d bytes of matrix values+indices",
 			coldBytes, floor)
 	}
 
 	// Repeat SketchCached: resident fingerprint, one fixed-size frame.
-	before = srv.Stats().Server.BytesIn
+	before = bytesIn()
 	got, _, err = c.SketchCached(context.Background(), a, d, opts)
 	if err != nil {
 		t.Fatalf("SketchCached (warm): %v", err)
@@ -132,7 +133,7 @@ func TestE2EByRefNotFoundAndCachedPayload(t *testing.T) {
 	if err := bitIdentical(want, got); err != nil {
 		t.Fatalf("warm SketchCached differs from direct: %v", err)
 	}
-	warmBytes := srv.Stats().Server.BytesIn - before
+	warmBytes := bytesIn() - before
 	if warmBytes != int64(wire.SketchRefWireSize) {
 		t.Errorf("warm path shipped %d bytes, want exactly wire.SketchRefWireSize = %d",
 			warmBytes, wire.SketchRefWireSize)

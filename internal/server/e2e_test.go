@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -147,14 +146,14 @@ func TestE2EBatch(t *testing.T) {
 
 	ms := e2eMatrices(t)
 	opts := core.Options{Dist: rng.Rademacher, Seed: 123, Workers: 2}
-	reqs := []wire.SketchRequest{
+	reqs := []wire.SketchItem{
 		{D: 16, Opts: opts, A: ms["powerlaw"]},
 		{D: 8, Opts: opts, A: ms["emptycols"]},
 		{D: 4, Opts: opts, A: ms["0xn"]},
 	}
-	rs, err := c.SketchBatch(context.Background(), reqs)
+	rs, err := c.Do(context.Background(), reqs)
 	if err != nil {
-		t.Fatalf("SketchBatch: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
 	for i, req := range reqs {
 		if rs[i].Status != wire.StatusOK {
@@ -335,42 +334,6 @@ func TestE2EInvalidInputStatuses(t *testing.T) {
 	bad := &sparse.CSC{M: 5, N: 2, ColPtr: []int{0, 9, 1}, RowIdx: []int{0}, Val: []float64{1}}
 	if _, _, err := c.Sketch(context.Background(), bad, 8, core.Options{}); !errors.Is(err, wire.ErrMalformed) {
 		t.Errorf("broken CSC err = %v, want Is(wire.ErrMalformed)", err)
-	}
-}
-
-// TestE2EStatsEndpoint asserts /stats serves the histogram-backed
-// percentiles and the server byte counters after traffic has flowed.
-func TestE2EStatsEndpoint(t *testing.T) {
-	base, _, _ := startServer(t, service.Config{}, Config{})
-	c := client.New(base, client.Config{})
-	a := sparse.RandomUniform(100, 30, 0.05, 9)
-	for i := 0; i < 3; i++ {
-		if _, _, err := c.Sketch(context.Background(), a, 16, core.Options{Seed: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	res, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	var snap StatsSnapshot
-	if err := json.NewDecoder(res.Body).Decode(&snap); err != nil {
-		t.Fatalf("decoding /stats: %v", err)
-	}
-	if snap.Service.Requests != 3 {
-		t.Errorf("Requests = %d, want 3", snap.Service.Requests)
-	}
-	if snap.LatencyP50us <= 0 || snap.LatencyP99us < snap.LatencyP50us {
-		t.Errorf("percentiles p50=%dus p99=%dus", snap.LatencyP50us, snap.LatencyP99us)
-	}
-	// /stats reuses Stats.LatencyQuantile over the same snapshot.
-	if want := snap.Service.LatencyQuantile(0.50).Microseconds(); snap.LatencyP50us != want {
-		t.Errorf("LatencyP50us = %d, want %d from the snapshot helper", snap.LatencyP50us, want)
-	}
-	if snap.Server.Requests != 3 || snap.Server.BytesIn == 0 || snap.Server.BytesOut == 0 {
-		t.Errorf("server counters = %+v", snap.Server)
 	}
 }
 

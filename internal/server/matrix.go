@@ -25,23 +25,25 @@ import (
 //	                       MsgMatrixInfo for the merged matrix's new
 //	                       fingerprint. The path fingerprint must equal
 //	                       the frame's — a mismatch is 400, never a guess.
-//	POST  /v1/sketch       additionally accepts wire.MsgSketchRef: a
-//	                       sketch request carrying a 32-byte fingerprint
-//	                       instead of the O(nnz) matrix; the response
-//	                       frame is the ordinary MsgSketchResponse.
-//	                       An unknown fingerprint is StatusNotFound (404);
-//	                       the client cures it with an upload and retry.
+//
+// POST /v1/sketch names a stored matrix with a by-reference item: a
+// 32-byte fingerprint instead of the O(nnz) matrix, so the whole request
+// is wire.SketchRefWireSize bytes. An unknown fingerprint is
+// StatusNotFound (404); the client cures it with an upload and retry.
 //
 // The handlers require the backend to implement service.RefBackend; a
 // plain Backend (no store) answers StatusBadOptions.
+
+// errNoStore is the detail of the StatusBadOptions answer a backend
+// without a matrix store gives to content-addressed requests.
+const errNoStore = "backend does not serve content-addressed requests"
 
 // refBackend resolves the by-reference surface, or fails the request.
 func (s *Server) refBackend(w http.ResponseWriter, typ wire.MsgType) (service.RefBackend, bool) {
 	rb, ok := s.backend.(service.RefBackend)
 	if !ok {
 		s.met.badRequests.Inc()
-		s.writeError(w, typ, wire.StatusBadOptions,
-			"backend does not serve content-addressed requests")
+		s.writeError(w, typ, wire.StatusBadOptions, errNoStore)
 	}
 	return rb, ok
 }
@@ -102,18 +104,10 @@ func (s *Server) handleMatrixPatch(w http.ResponseWriter, r *http.Request) {
 	defer s.scratch.Put(sc)
 
 	dsp := obs.StartSpan(s.met.decode)
-	body, err := s.readBody(sc, w, r)
+	payload, err := s.readFrame(sc, w, r, wire.MsgMatrixDelta)
 	var delta *wire.MatrixDelta
 	if err == nil {
-		var typ wire.MsgType
-		var payload []byte
-		typ, payload, _, err = wire.SplitFrame(body, int(s.cfg.MaxBodyBytes))
-		if err == nil && typ != wire.MsgMatrixDelta {
-			err = fmt.Errorf("%w: unexpected message type %v", wire.ErrMalformed, typ)
-		}
-		if err == nil {
-			delta, err = wire.DecodeMatrixDelta(payload)
-		}
+		delta, err = wire.DecodeMatrixDelta(payload)
 	}
 	dsp.End()
 	if err != nil {
@@ -150,63 +144,12 @@ func (s *Server) handleMatrixPatch(w http.ResponseWriter, r *http.Request) {
 	s.writeMatrixInfo(w, sc, info)
 }
 
-// serveSketchRef handles one MsgSketchRef payload on /v1/sketch: sketch a
-// stored matrix by fingerprint. The 121-byte request is the whole point —
-// the answer is the same MsgSketchResponse the inline path produces.
-func (s *Server) serveSketchRef(ctx context.Context, w http.ResponseWriter, sc *reqScratch, payload []byte, dsp obs.Span) {
-	s.met.requests.Inc()
-	req, err := wire.DecodeSketchRef(payload)
-	dsp.End()
-	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusMalformed, err.Error())
-		return
-	}
-	rb, ok := s.refBackend(w, wire.MsgSketchResponse)
-	if !ok {
-		return
-	}
-	var resp wire.SketchResponse
-	if err := s.checkSketchSize(req.D, req.Fp.N); err != nil {
-		resp = wire.SketchResponse{Status: wire.StatusBadOptions, Detail: err.Error()}
-	} else {
-		xsp := obs.StartSpan(s.met.execute)
-		ahat, st, err := rb.SketchRef(ctx, req.Fp, req.D, req.Opts)
-		xsp.End()
-		if err != nil {
-			if ctx.Err() != nil {
-				err = ctx.Err()
-			}
-			resp = wire.SketchResponse{Status: wire.StatusOf(err), Detail: err.Error()}
-		} else {
-			resp = wire.SketchResponse{Status: wire.StatusOK, Stats: st, Ahat: ahat}
-		}
-	}
-	esp := obs.StartSpan(s.met.encode)
-	out, err := wire.AppendFrame(sc.out[:0], wire.MsgSketchResponse, wire.AppendResponse(nil, &resp))
-	if err != nil {
-		esp.End()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusInternal, "response too large to frame: "+err.Error())
-		return
-	}
-	sc.out = out
-	s.writeFrame(w, httpStatus(resp.Status), sc.out)
-	esp.End()
-}
-
 // decodeMatrixBody reads and decodes a MsgMatrixPut body plus the request
 // context. (PATCH decodes inline — it threads the extra fingerprint check.)
 func (s *Server) decodeMatrixBody(sc *reqScratch, w http.ResponseWriter, r *http.Request, want wire.MsgType) (*sparse.CSC, context.Context, context.CancelFunc, error) {
-	body, err := s.readBody(sc, w, r)
+	payload, err := s.readFrame(sc, w, r, want)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	typ, payload, _, err := wire.SplitFrame(body, int(s.cfg.MaxBodyBytes))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if typ != want {
-		return nil, nil, nil, fmt.Errorf("%w: unexpected message type %v", wire.ErrMalformed, typ)
 	}
 	a, err := wire.DecodeMatrixPut(payload)
 	if err != nil {

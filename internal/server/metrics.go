@@ -14,7 +14,7 @@ var httpCodes = [...]int{200, 400, 405, 429, 499, 500, 503, 504}
 
 // httpMetrics is the transport layer's metric set on the shared registry.
 // Like the service metrics, these handles are the single home of the
-// counters: /stats reads the same atomics /metrics scrapes.
+// counters /metrics scrapes.
 type httpMetrics struct {
 	requests    *obs.Counter
 	badRequests *obs.Counter

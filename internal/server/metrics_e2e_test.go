@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,12 +33,32 @@ func postFrame(t *testing.T, base string, frame []byte) int {
 	return res.StatusCode
 }
 
-// TestE2EMetricsEndpointReconciles is the pinned contract of the tentpole:
-// /metrics and /stats read the very same atomics, so after a mixed replay
-// of successes, cache hits, malformed bodies, a method error and an
-// overload shed — each tallied client-side from the HTTP status — the
-// Prometheus exposition, the JSON snapshot and the client's own counts must
-// agree EXACTLY, including bucket-by-bucket histogram geometry.
+// scrapeMetric reads one series from the server's /metrics exposition.
+func scrapeMetric(t *testing.T, base, key string) float64 {
+	t.Helper()
+	res, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	mm, err := obs.ParseText(res.Body)
+	if err != nil {
+		t.Fatalf("parsing /metrics: %v", err)
+	}
+	v, ok := mm[key]
+	if !ok {
+		t.Fatalf("/metrics is missing %q", key)
+	}
+	return v
+}
+
+// TestE2EMetricsEndpointReconciles is the pinned contract of /metrics: it
+// reads the very same atomics as the in-process service snapshot, so after
+// a mixed replay of successes, cache hits, malformed bodies, a method
+// error and an overload shed — each tallied client-side from the HTTP
+// status — the Prometheus exposition, svc.Stats() and the client's own
+// counts must agree EXACTLY, including bucket-by-bucket histogram
+// geometry.
 func TestE2EMetricsEndpointReconciles(t *testing.T) {
 	base, svc, srv := startServer(t,
 		service.Config{MaxInFlight: 1, MaxQueue: 1, Capacity: 8},
@@ -50,11 +69,11 @@ func TestE2EMetricsEndpointReconciles(t *testing.T) {
 	a2 := sparse.PowerLaw(400, 50, 3000, 1.0, 2)
 	opts := core.Options{Dist: rng.Rademacher, Seed: 7, Workers: 2}
 
-	frame1, err := wire.EncodeRequestFrame(24, opts, a1)
+	frame1, err := wire.EncodeSketchRequestFrame([]wire.SketchItem{{D: 24, Opts: opts, A: a1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame2, err := wire.EncodeRequestFrame(16, opts, a2)
+	frame2, err := wire.EncodeSketchRequestFrame([]wire.SketchItem{{D: 16, Opts: opts, A: a2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +134,6 @@ func TestE2EMetricsEndpointReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parsing /metrics: %v", err)
 	}
-	sres, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sres.Body.Close()
-	var snap StatsSnapshot
-	if err := json.NewDecoder(sres.Body).Decode(&snap); err != nil {
-		t.Fatalf("decoding /stats: %v", err)
-	}
 
 	metric := func(key string) float64 {
 		t.Helper()
@@ -147,17 +157,13 @@ func TestE2EMetricsEndpointReconciles(t *testing.T) {
 	}
 	expectEq(`sketchsp_http_responses_total{code="other"}`, 0)
 
-	// Transport counters: /metrics == /stats == script. Decoded sketch
-	// requests = 7 successes + 1 shed (its frame decoded fine); the three
-	// garbage bodies and the GET never reach the decoder's counter.
+	// Transport counters vs the script. Decoded sketch requests = 7
+	// successes + 1 shed (its frame decoded fine); the three garbage
+	// bodies and the GET never reach the decoder's counter.
 	expectEq("sketchsp_http_requests_total", 8)
-	expectEq("sketchsp_http_requests_total", snap.Server.Requests)
 	expectEq("sketchsp_http_bad_requests_total", 3)
-	expectEq("sketchsp_http_bad_requests_total", snap.Server.BadRequests)
-	expectEq("sketchsp_http_request_bytes_total", snap.Server.BytesIn)
-	expectEq("sketchsp_http_response_bytes_total", snap.Server.BytesOut)
-	if snap.Server.BytesIn == 0 || snap.Server.BytesOut == 0 {
-		t.Errorf("byte counters did not move: %+v", snap.Server)
+	if metric("sketchsp_http_request_bytes_total") == 0 || metric("sketchsp_http_response_bytes_total") == 0 {
+		t.Error("byte counters did not move")
 	}
 
 	// Stage histograms: decode ran for all 11 POSTs, execute and encode
@@ -167,8 +173,8 @@ func TestE2EMetricsEndpointReconciles(t *testing.T) {
 	expectEq("sketchsp_http_execute_seconds_count", 8)
 	expectEq("sketchsp_http_encode_seconds_count", 8)
 
-	// Service families vs the JSON snapshot, field by field.
-	svcStats := snap.Service
+	// Service families vs the in-process snapshot, field by field.
+	svcStats := svc.Stats()
 	expectEq("sketchsp_service_cache_hits_total", svcStats.Hits)
 	expectEq("sketchsp_service_cache_misses_total", svcStats.Misses)
 	expectEq("sketchsp_service_plan_builds_total", svcStats.Builds)
@@ -191,7 +197,7 @@ func TestE2EMetricsEndpointReconciles(t *testing.T) {
 	}
 
 	// Histogram geometry: the exposition's cumulative le-buckets must match
-	// the /stats raw bucket array exactly, edge for edge.
+	// the snapshot's raw bucket array exactly, edge for edge.
 	var cum int64
 	for i := 0; i < service.HistBuckets-1; i++ {
 		cum += svcStats.LatencyHist[i]
@@ -205,7 +211,7 @@ func TestE2EMetricsEndpointReconciles(t *testing.T) {
 	}
 
 	// Plan executes aggregate across cache entries must agree with the
-	// per-entry view /stats serves.
+	// snapshot's per-entry view.
 	var executes int64
 	for _, e := range svcStats.Entries {
 		executes += e.Executes

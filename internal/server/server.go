@@ -7,25 +7,24 @@
 //
 // Endpoints:
 //
-//	POST /v1/sketch   wire.MsgSketchRequest, wire.MsgBatchRequest or
-//	                  wire.MsgSketchRef body; responds with the matching
-//	                  response frame. The HTTP status mirrors the wire
+//	POST /v1/sketch   wire.MsgSketchRequest body — a list of sketch items,
+//	                  each inline or by fingerprint, whole or a placed
+//	                  column shard; responds wire.MsgSketchResponse. The
+//	                  HTTP status of a one-item response mirrors its wire
 //	                  status (200 OK, 400 invalid, 404 unknown fingerprint,
-//	                  429 overloaded, 503 draining/closed, 504 deadline),
-//	                  but clients should classify by the wire status — it
+//	                  429 overloaded, 503 draining/closed, 504 deadline); a
+//	                  several-item response is 200 with per-item statuses.
+//	                  Clients should classify by the wire status — it
 //	                  survives proxies that rewrite HTTP codes.
 //	PUT  /v1/matrix   upload a matrix into the content-addressed store;
 //	PATCH /v1/matrix/{fp}  apply a sparse delta — see matrix.go.
+//	POST /v1/solve, GET/DELETE /v1/jobs/{id}  solves — see solve.go.
 //	GET  /healthz     "ok" while serving, 503 once draining.
-//	GET  /stats       JSON snapshot: the service counters, the raw log₂
-//	                  latency histogram with p50/p90/p95/p99 (via
-//	                  service.Stats.LatencyQuantile — one home for the
-//	                  bucket math), and the server's own transport counters.
-//	GET  /metrics     Prometheus text exposition (obs.Registry.WriteText) of
-//	                  the same atomics /stats reads: the service families,
-//	                  the plan execute families, and the sketchsp_http_*
-//	                  transport families (per-status response counters and
-//	                  decode/execute/encode stage histograms).
+//	GET  /metrics     Prometheus text exposition (obs.Registry.WriteText):
+//	                  the service families, the plan execute families, and
+//	                  the sketchsp_http_* transport families (per-status
+//	                  response counters and decode/execute/encode stage
+//	                  histograms).
 //	GET  /debug/pprof/*  net/http/pprof, mounted only when Config.Pprof is
 //	                  set (the daemon's -pprof flag).
 //
@@ -41,7 +40,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -54,6 +52,7 @@ import (
 	"time"
 
 	"sketchsp/internal/core"
+	"sketchsp/internal/dense"
 	"sketchsp/internal/jobs"
 	"sketchsp/internal/obs"
 	"sketchsp/internal/service"
@@ -101,7 +100,6 @@ type Config struct {
 // coordinator's path), mount Handler (or use Serve/Shutdown for the daemon
 // lifecycle).
 type Server struct {
-	svc     *service.Service // non-nil only in New mode; /stats reads it
 	backend service.Backend
 	cfg     Config
 	mux     *http.ServeMux
@@ -110,9 +108,8 @@ type Server struct {
 	httpSrv  *http.Server
 	draining atomic.Bool
 
-	// Transport counters and stage histograms (metrics.go), exposed under
-	// "server" in /stats and as sketchsp_http_* in /metrics — one set of
-	// atomics behind both views.
+	// Transport counters and stage histograms (metrics.go), exposed as
+	// sketchsp_http_* in /metrics.
 	met *httpMetrics
 
 	// Async solve jobs (solve.go): created only when the backend
@@ -123,12 +120,11 @@ type Server struct {
 }
 
 // reqScratch is the pooled per-request workspace: the body buffer, the
-// decoded request (whose CSC slices are reused across requests), and the
-// response encode buffer. Single-request hot path only — batches allocate.
+// decoded items (whose CSC slices are reused across requests), and the
+// response encode buffer.
 type reqScratch struct {
 	body  []byte
-	req   wire.SketchRequest
-	shreq wire.ShardRequest
+	items []wire.SketchItem
 	out   []byte
 }
 
@@ -137,16 +133,14 @@ func New(svc *service.Service, cfg Config) *Server {
 	if cfg.Metrics == nil {
 		cfg.Metrics = svc.Registry()
 	}
-	s := newServer(svc, cfg)
-	s.svc = svc
-	return s
+	return newServer(svc, cfg)
 }
 
 // NewBackend returns a Server fronting an arbitrary Backend — this is how a
 // shard coordinator becomes a sketchd: the handler, codec, deadline and
 // drain layers are identical, only the execution strategy behind
-// Backend.Sketch differs. The /stats service block is zero in this mode
-// (the backend's own metrics live in cfg.Metrics, served at /metrics).
+// Backend.Sketch differs. The backend's own metrics live in cfg.Metrics,
+// served at /metrics.
 func NewBackend(b service.Backend, cfg Config) *Server {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
@@ -180,7 +174,6 @@ func newServer(b service.Backend, cfg Config) *Server {
 		s.mux.HandleFunc("/v1/peers", s.handlePeers)
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.Handle("/metrics", cfg.Metrics.Handler())
 	if cfg.Pprof {
 		// Explicit wiring: the package's init only registers on
@@ -282,58 +275,59 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	sc := s.scratch.Get().(*reqScratch)
-	defer s.scratch.Put(sc)
-
-	// The decode span covers the whole request-parsing stage — body read,
-	// frame split, payload decode — and is handed down so the per-payload
-	// decoders can close it; error paths close it here.
-	dsp := obs.StartSpan(s.met.decode)
-	body, err := s.readBody(sc, w, r)
-	if err != nil {
-		dsp.End()
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusOf(err), err.Error())
-		return
-	}
-	typ, payload, _, err := wire.SplitFrame(body, int(s.cfg.MaxBodyBytes))
-	if err != nil {
-		dsp.End()
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusOf(err), err.Error())
-		return
-	}
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
-		dsp.End()
 		s.met.badRequests.Inc()
 		s.writeError(w, wire.MsgSketchResponse, wire.StatusMalformed, err.Error())
 		return
 	}
 	defer cancel()
+	sc := s.scratch.Get().(*reqScratch)
+	defer s.scratch.Put(sc)
 
-	switch typ {
-	case wire.MsgSketchRequest:
-		s.serveSingle(ctx, w, sc, payload, dsp)
-	case wire.MsgBatchRequest:
-		s.serveBatch(ctx, w, payload, dsp)
-	case wire.MsgShardRequest:
-		s.serveShard(ctx, w, sc, payload, dsp)
-	case wire.MsgShardBatchRequest:
-		s.serveShardBatch(ctx, w, payload, dsp)
-	case wire.MsgSketchRef:
-		s.serveSketchRef(ctx, w, sc, payload, dsp)
-	default:
-		dsp.End()
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusMalformed,
-			fmt.Sprintf("unexpected message type %v", typ))
+	// The decode span covers the whole request-parsing stage: body read,
+	// frame split, payload decode.
+	dsp := obs.StartSpan(s.met.decode)
+	payload, err := s.readFrame(sc, w, r, wire.MsgSketchRequest)
+	var items []wire.SketchItem
+	if err == nil {
+		items, err = wire.DecodeSketchRequestInto(sc.items, payload)
 	}
+	dsp.End()
+	if err != nil {
+		s.met.badRequests.Inc()
+		s.writeError(w, wire.MsgSketchResponse, wire.StatusOf(err), err.Error())
+		return
+	}
+	sc.items = items
+	s.met.requests.Add(int64(len(items)))
+
+	xsp := obs.StartSpan(s.met.execute)
+	resps := s.sketchItems(ctx, items)
+	xsp.End()
+	// A request of several near-MaxSketchBytes sketches can legitimately
+	// exceed the 32-bit frame length; answer with a framable error instead
+	// of a length-wrapped frame that would desync the client's decoder.
+	esp := obs.StartSpan(s.met.encode)
+	out, err := wire.AppendFrame(sc.out[:0], wire.MsgSketchResponse, wire.AppendSketchResponse(nil, resps))
+	if err != nil {
+		esp.End()
+		s.writeError(w, wire.MsgSketchResponse, wire.StatusInternal, "response too large to frame: "+err.Error())
+		return
+	}
+	sc.out = out
+	code := http.StatusOK
+	if len(resps) == 1 {
+		code = httpStatus(resps[0].Status)
+	}
+	s.writeFrame(w, code, sc.out)
+	esp.End()
 }
 
-// readBody consumes the request body into the pooled buffer under the
-// MaxBodyBytes bound.
-func (s *Server) readBody(sc *reqScratch, w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// readFrame consumes the request body into the pooled buffer under the
+// MaxBodyBytes bound and returns the payload of the one frame it must hold,
+// of type want.
+func (s *Server) readFrame(sc *reqScratch, w http.ResponseWriter, r *http.Request, want wire.MsgType) ([]byte, error) {
 	lr := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	buf := sc.body[:0]
 	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes && int64(cap(buf)) < n {
@@ -358,231 +352,65 @@ func (s *Server) readBody(sc *reqScratch, w http.ResponseWriter, r *http.Request
 	}
 	sc.body = buf
 	s.met.bytesIn.Add(int64(len(buf)))
-	return buf, nil
+	typ, payload, _, err := wire.SplitFrame(buf, int(s.cfg.MaxBodyBytes))
+	if err == nil && typ != want {
+		err = fmt.Errorf("%w: unexpected message type %v", wire.ErrMalformed, typ)
+	}
+	return payload, err
 }
 
-// serveSingle handles one MsgSketchRequest payload on the pooled hot path.
-func (s *Server) serveSingle(ctx context.Context, w http.ResponseWriter, sc *reqScratch, payload []byte, dsp obs.Span) {
-	s.met.requests.Inc()
-	err := wire.DecodeRequestInto(&sc.req, payload)
-	dsp.End()
-	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusMalformed, err.Error())
-		return
-	}
-	xsp := obs.StartSpan(s.met.execute)
-	resp := s.sketchOne(ctx, &sc.req)
-	xsp.End()
-	esp := obs.StartSpan(s.met.encode)
-	out, err := wire.AppendFrame(sc.out[:0], wire.MsgSketchResponse, wire.AppendResponse(nil, &resp))
-	if err != nil {
-		esp.End()
-		s.writeError(w, wire.MsgSketchResponse, wire.StatusInternal, "response too large to frame: "+err.Error())
-		return
-	}
-	sc.out = out
-	s.writeFrame(w, httpStatus(resp.Status), sc.out)
-	esp.End()
-}
-
-// serveShard handles one MsgShardRequest payload: the shard's CSC runs
-// through the same backend as a single request — a worker needs no special
-// mode, any sketchd answers shard requests — and the response echoes the
-// shard's placement J0 so the coordinator's merge is robust to reordering.
-func (s *Server) serveShard(ctx context.Context, w http.ResponseWriter, sc *reqScratch, payload []byte, dsp obs.Span) {
-	s.met.requests.Inc()
-	err := wire.DecodeShardRequestInto(&sc.shreq, payload)
-	dsp.End()
-	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgShardResponse, wire.StatusMalformed, err.Error())
-		return
-	}
-	req := &sc.shreq
-	if err := s.checkSketchSize(req.D, req.A.N); err != nil {
-		s.writeError(w, wire.MsgShardResponse, wire.StatusBadOptions, err.Error())
-		return
-	}
-	xsp := obs.StartSpan(s.met.execute)
-	partial, st, err := s.backend.Sketch(ctx, req.A, req.D, req.Opts)
-	xsp.End()
-	var resp wire.ShardResponse
-	if err != nil {
-		if ctx.Err() != nil {
-			err = ctx.Err()
-		}
-		resp = wire.ShardResponse{Status: wire.StatusOf(err), Detail: err.Error()}
-	} else {
-		resp = wire.ShardResponse{Status: wire.StatusOK, J0: req.J0, Stats: st, Partial: partial}
-	}
-	esp := obs.StartSpan(s.met.encode)
-	out, err := wire.AppendFrame(sc.out[:0], wire.MsgShardResponse, wire.AppendShardResponse(nil, &resp))
-	if err != nil {
-		esp.End()
-		s.writeError(w, wire.MsgShardResponse, wire.StatusInternal, "response too large to frame: "+err.Error())
-		return
-	}
-	sc.out = out
-	s.writeFrame(w, httpStatus(resp.Status), sc.out)
-	esp.End()
-}
-
-// serveShardBatch handles one MsgShardBatchRequest payload: several column
-// shards of one sketch, batched by the coordinator because they all route
-// here. The items run through the same backend SketchBatch path as a plain
-// batch — grouped by plan key, so same-matrix shards resolve the cache once
-// — and each response echoes its shard's J0 for the coordinator's placement
-// check.
-//
-// Decoding is deliberately per-item, not the strict whole-batch decoder: a
-// batch-level StatusMalformed is what a pre-batch server answers for the
-// unknown frame type, and the coordinator demotes it to failover — so it
-// must mean "this peer cannot read the frame", never "one item was bad".
-// An item that fails to decode gets its own StatusMalformed response
-// (fail-fast at the coordinator, like the single-shard path) and is never
-// executed, so it cannot contribute coverage. Only envelope corruption and
-// cross-item placement violations — one matrix, sorted pairwise-disjoint
-// column ranges, which a real coordinator never produces — are rejected at
-// batch level.
-func (s *Server) serveShardBatch(ctx context.Context, w http.ResponseWriter, payload []byte, dsp obs.Span) {
-	items, err := wire.SplitBatchPayload(payload)
-	if err == nil && len(items) == 0 {
-		err = fmt.Errorf("%w: empty shard batch", wire.ErrMalformed)
-	}
-	if err != nil {
-		dsp.End()
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgShardBatchResponse, wire.StatusMalformed, err.Error())
-		return
-	}
-	reqs := make([]wire.ShardRequest, len(items))
-	itemErr := make([]error, len(items))
-	nTotal, nextJ0 := -1, 0
-	for i, item := range items {
-		if derr := wire.DecodeShardRequestInto(&reqs[i], item); derr != nil {
-			itemErr[i] = derr
+// sketchItems runs every item of one request and returns the
+// index-aligned outcomes. A lone inline item — the common request — calls
+// Backend.Sketch directly on its pooled CSC; several inline items go
+// through Backend.SketchBatch, which groups them by plan key so same-matrix
+// sketches (a per-peer batch of shards) resolve the cache once; by-reference
+// items resolve through RefBackend.SketchRef one at a time. Placed items
+// echo their J0 so the coordinator's merge is robust to reordering.
+func (s *Server) sketchItems(ctx context.Context, items []wire.SketchItem) []wire.SketchResponse {
+	out := make([]wire.SketchResponse, len(items))
+	var batch []service.Request
+	var batchIdx []int
+	for i := range items {
+		it := &items[i]
+		if err := s.checkSketchSize(it.D, it.Cols()); err != nil {
+			out[i] = wire.SketchResponse{Status: wire.StatusBadOptions, Detail: err.Error()}
 			continue
 		}
-		if nTotal == -1 {
-			nTotal = reqs[i].NTotal
-		}
-		if reqs[i].NTotal != nTotal || reqs[i].J0 < nextJ0 {
-			dsp.End()
-			s.met.badRequests.Inc()
-			s.writeError(w, wire.MsgShardBatchResponse, wire.StatusMalformed,
-				fmt.Sprintf("shard batch item %d: placement overlaps or mixes matrices", i))
-			return
-		}
-		nextJ0 = reqs[i].J0 + reqs[i].A.N
-	}
-	dsp.End()
-	s.met.requests.Add(int64(len(reqs)))
-	sreqs := make([]service.Request, len(reqs))
-	oversize := make([]bool, len(reqs))
-	for i := range reqs {
-		if itemErr[i] != nil {
-			continue
-		}
-		if err := s.checkSketchSize(reqs[i].D, reqs[i].A.N); err != nil {
-			oversize[i] = true
-			continue
-		}
-		sreqs[i] = service.Request{A: reqs[i].A, D: reqs[i].D, Opts: reqs[i].Opts}
-	}
-	xsp := obs.StartSpan(s.met.execute)
-	sresps := s.backend.SketchBatch(ctx, sreqs)
-	xsp.End()
-	out := make([]wire.ShardResponse, len(reqs))
-	for i := range out {
 		switch {
-		case itemErr[i] != nil:
-			out[i] = wire.ShardResponse{Status: wire.StatusMalformed, Detail: itemErr[i].Error()}
-		case oversize[i]:
-			out[i] = wire.ShardResponse{Status: wire.StatusBadOptions,
-				Detail: fmt.Sprintf("sketch %dx%d exceeds MaxSketchBytes %d", reqs[i].D, reqs[i].A.N, s.cfg.MaxSketchBytes)}
-		case sresps[i].Err != nil:
-			err := sresps[i].Err
-			if ctx.Err() != nil {
-				err = ctx.Err()
-			}
-			out[i] = wire.ShardResponse{Status: wire.StatusOf(err), Detail: err.Error()}
+		case it.ByRef:
+			out[i] = s.sketchRef(ctx, it)
+		case len(items) == 1:
+			ahat, st, err := s.backend.Sketch(ctx, it.A, it.D, it.Opts)
+			out[i] = s.itemResponse(ctx, it, ahat, st, err)
 		default:
-			out[i] = wire.ShardResponse{Status: wire.StatusOK, J0: reqs[i].J0,
-				Stats: sresps[i].Stats, Partial: sresps[i].Ahat}
+			batch = append(batch, service.Request{A: it.A, D: it.D, Opts: it.Opts})
+			batchIdx = append(batchIdx, i)
 		}
 	}
-	esp := obs.StartSpan(s.met.encode)
-	frame, err := wire.AppendFrame(nil, wire.MsgShardBatchResponse, wire.AppendShardBatchResponse(nil, out))
-	if err != nil {
-		esp.End()
-		s.writeError(w, wire.MsgShardBatchResponse, wire.StatusInternal, "shard batch response too large to frame: "+err.Error())
-		return
+	if len(batch) > 0 {
+		for k, r := range s.backend.SketchBatch(ctx, batch) {
+			i := batchIdx[k]
+			out[i] = s.itemResponse(ctx, &items[i], r.Ahat, r.Stats, r.Err)
+		}
 	}
-	s.writeFrame(w, http.StatusOK, frame)
-	esp.End()
+	return out
 }
 
-// serveBatch handles one MsgBatchRequest payload: the requests are mapped
-// onto service.SketchBatch, which groups them by plan key so a batch of
-// same-matrix sketches resolves the cache once and executes back-to-back
-// on the hot plan.
-func (s *Server) serveBatch(ctx context.Context, w http.ResponseWriter, payload []byte, dsp obs.Span) {
-	reqs, err := wire.DecodeBatchRequest(payload)
-	dsp.End()
-	if err != nil {
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgBatchResponse, wire.StatusMalformed, err.Error())
-		return
+// sketchRef serves one by-reference item: sketch a stored matrix by
+// fingerprint. A backend without a store answers StatusBadOptions.
+func (s *Server) sketchRef(ctx context.Context, it *wire.SketchItem) wire.SketchResponse {
+	rb, ok := s.backend.(service.RefBackend)
+	if !ok {
+		return wire.SketchResponse{Status: wire.StatusBadOptions, Detail: errNoStore}
 	}
-	s.met.requests.Add(int64(len(reqs)))
-	sreqs := make([]service.Request, len(reqs))
-	oversize := make([]bool, len(reqs))
-	for i := range reqs {
-		if err := s.checkSketchSize(reqs[i].D, reqs[i].A.N); err != nil {
-			oversize[i] = true
-			continue
-		}
-		sreqs[i] = service.Request{A: reqs[i].A, D: reqs[i].D, Opts: reqs[i].Opts}
-	}
-	xsp := obs.StartSpan(s.met.execute)
-	sresps := s.backend.SketchBatch(ctx, sreqs)
-	xsp.End()
-	out := make([]wire.SketchResponse, len(reqs))
-	for i := range out {
-		switch {
-		case oversize[i]:
-			out[i] = wire.SketchResponse{Status: wire.StatusBadOptions,
-				Detail: fmt.Sprintf("sketch %dx%d exceeds MaxSketchBytes %d", reqs[i].D, reqs[i].A.N, s.cfg.MaxSketchBytes)}
-		case sresps[i].Err != nil:
-			st := wire.StatusOf(sresps[i].Err)
-			out[i] = wire.SketchResponse{Status: st, Detail: sresps[i].Err.Error()}
-		default:
-			out[i] = wire.SketchResponse{Status: wire.StatusOK, Stats: sresps[i].Stats, Ahat: sresps[i].Ahat}
-		}
-	}
-	// A batch of near-MaxSketchBytes sketches can legitimately exceed the
-	// 32-bit frame length; answer with a framable error instead of a
-	// length-wrapped frame that would desync the client's decoder.
-	esp := obs.StartSpan(s.met.encode)
-	frame, err := wire.AppendFrame(nil, wire.MsgBatchResponse, wire.AppendBatchResponse(nil, out))
-	if err != nil {
-		esp.End()
-		s.writeError(w, wire.MsgBatchResponse, wire.StatusInternal, "batch response too large to frame: "+err.Error())
-		return
-	}
-	s.writeFrame(w, http.StatusOK, frame)
-	esp.End()
+	ahat, st, err := rb.SketchRef(ctx, it.Fp, it.D, it.Opts)
+	return s.itemResponse(ctx, it, ahat, st, err)
 }
 
-// sketchOne runs one request through the service and classifies the
-// outcome. The response's Ahat is freshly allocated per request — it is
-// being serialised right after, so pooling it would only add copying.
-func (s *Server) sketchOne(ctx context.Context, req *wire.SketchRequest) wire.SketchResponse {
-	if err := s.checkSketchSize(req.D, req.A.N); err != nil {
-		return wire.SketchResponse{Status: wire.StatusBadOptions, Detail: err.Error()}
-	}
-	ahat, st, err := s.backend.Sketch(ctx, req.A, req.D, req.Opts)
+// itemResponse classifies one item's outcome. The Â is freshly allocated
+// per item — it is being serialised right after, so pooling it would only
+// add copying.
+func (s *Server) itemResponse(ctx context.Context, it *wire.SketchItem, ahat *dense.Matrix, st core.Stats, err error) wire.SketchResponse {
 	if err != nil {
 		// Prefer the context's verdict when the deadline raced the
 		// execute: the client asked for a bounded request and should see
@@ -592,7 +420,7 @@ func (s *Server) sketchOne(ctx context.Context, req *wire.SketchRequest) wire.Sk
 		}
 		return wire.SketchResponse{Status: wire.StatusOf(err), Detail: err.Error()}
 	}
-	return wire.SketchResponse{Status: wire.StatusOK, Stats: st, Ahat: ahat}
+	return wire.SketchResponse{Status: wire.StatusOK, J0: it.J0, Stats: st, Ahat: ahat}
 }
 
 // checkSketchSize bounds the response allocation 8·d·n.
@@ -604,19 +432,12 @@ func (s *Server) checkSketchSize(d, n int) error {
 	return nil
 }
 
-// writeError emits a non-OK response frame of the given kind. Batch-shaped
-// failures that happen before per-item decoding (malformed bytes, bad
-// deadline header) come back as a single-element batch response so the
-// client's decoder matches what it sent. The shard error form is
-// byte-identical to the single form, so MsgShardResponse needs no branch.
+// writeError emits a non-OK response frame of the given kind. A sketch
+// request that fails as a whole (bytes that do not decode, a bad deadline
+// header) is answered with a one-item response carrying the failure.
 func (s *Server) writeError(w http.ResponseWriter, typ wire.MsgType, st wire.Status, detail string) {
-	resp := wire.SketchResponse{Status: st, Detail: detail}
 	var payload []byte
 	switch typ {
-	case wire.MsgBatchResponse:
-		payload = wire.AppendBatchResponse(nil, []wire.SketchResponse{resp})
-	case wire.MsgShardBatchResponse:
-		payload = wire.AppendShardBatchResponse(nil, []wire.ShardResponse{{Status: st, Detail: detail}})
 	case wire.MsgMatrixInfo:
 		payload = wire.AppendMatrixInfo(nil, &wire.MatrixInfo{Status: st, Detail: detail})
 	case wire.MsgSolveResponse:
@@ -624,7 +445,7 @@ func (s *Server) writeError(w http.ResponseWriter, typ wire.MsgType, st wire.Sta
 	case wire.MsgJobStatus:
 		payload = wire.AppendJobStatus(nil, &wire.JobStatus{Status: st, Detail: detail})
 	default:
-		payload = wire.AppendResponse(nil, &resp)
+		payload = wire.AppendSketchResponse(nil, []wire.SketchResponse{{Status: st, Detail: detail}})
 	}
 	// An error payload is a status byte plus a short detail string — it
 	// cannot reach the frame limit, so the framing error is impossible.
@@ -648,60 +469,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")
-}
-
-// StatsSnapshot is the /stats JSON document: the service snapshot (with
-// its raw histogram), quantiles derived through the shared bucket math,
-// and the HTTP layer's own counters. Durations are reported in
-// microseconds for dashboard friendliness.
-type StatsSnapshot struct {
-	Service      service.Stats `json:"service"`
-	LatencyP50us int64         `json:"latency_p50_us"`
-	LatencyP90us int64         `json:"latency_p90_us"`
-	LatencyP95us int64         `json:"latency_p95_us"`
-	LatencyP99us int64         `json:"latency_p99_us"`
-	Server       ServerStats   `json:"server"`
-}
-
-// ServerStats are the transport-level counters of the HTTP layer.
-type ServerStats struct {
-	Requests    int64 `json:"requests"`
-	BadRequests int64 `json:"bad_requests"`
-	BytesIn     int64 `json:"bytes_in"`
-	BytesOut    int64 `json:"bytes_out"`
-	Draining    bool  `json:"draining"`
-}
-
-// Stats returns the combined snapshot (also served at /stats). In NewBackend
-// mode there is no local service; the service block stays zero (safe: the
-// zero snapshot's LatencyQuantile is 0) and only the transport counters move.
-func (s *Server) Stats() StatsSnapshot {
-	var st service.Stats
-	if s.svc != nil {
-		st = s.svc.Stats()
-	}
-	return StatsSnapshot{
-		Service:      st,
-		LatencyP50us: st.LatencyQuantile(0.50).Microseconds(),
-		LatencyP90us: st.LatencyQuantile(0.90).Microseconds(),
-		LatencyP95us: st.LatencyQuantile(0.95).Microseconds(),
-		LatencyP99us: st.LatencyQuantile(0.99).Microseconds(),
-		Server: ServerStats{
-			Requests:    s.met.requests.Value(),
-			BadRequests: s.met.badRequests.Value(),
-			BytesIn:     s.met.bytesIn.Value(),
-			BytesOut:    s.met.bytesOut.Value(),
-			Draining:    s.draining.Load(),
-		},
-	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	buf, err := json.MarshalIndent(s.Stats(), "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(buf, '\n'))
 }

@@ -64,17 +64,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer s.scratch.Put(sc)
 
 	dsp := obs.StartSpan(s.met.decode)
-	body, err := s.readBody(sc, w, r)
-	if err != nil {
-		dsp.End()
-		s.met.badRequests.Inc()
-		s.writeError(w, wire.MsgSolveResponse, wire.StatusOf(err), err.Error())
-		return
-	}
-	typ, payload, _, err := wire.SplitFrame(body, int(s.cfg.MaxBodyBytes))
-	if err == nil && typ != wire.MsgSolveRequest {
-		err = fmt.Errorf("%w: unexpected message type %v", wire.ErrMalformed, typ)
-	}
+	payload, err := s.readFrame(sc, w, r, wire.MsgSolveRequest)
 	var req *wire.SolveRequest
 	if err == nil {
 		req, err = wire.DecodeSolveRequest(payload)

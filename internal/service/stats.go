@@ -11,7 +11,7 @@ import (
 // obs layer: bucket i counts requests with latency in
 // [1µs·2^i, 1µs·2^(i+1)), i.e. 1µs up to ~34s, with bucket 0 absorbing
 // sub-microsecond requests and the last bucket everything slower. Exported
-// so consumers of Stats.LatencyHist (the /stats endpoint, the benches) can
+// so consumers of Stats.LatencyHist (the benches, the reconcile tests) can
 // size against it.
 const HistBuckets = obs.HistBuckets
 
@@ -67,7 +67,7 @@ type Stats struct {
 	// LatencyHist is the raw log₂ bucket snapshot: bucket i counts
 	// requests with latency in [1µs·2^i, 1µs·2^(i+1)) (bucket 0 also
 	// absorbs sub-microsecond requests, the last bucket everything
-	// slower). The /stats endpoint serves it verbatim.
+	// slower).
 	LatencyHist [HistBuckets]int64
 	// Entries holds the per-cache-entry aggregates, most recently used
 	// first.
@@ -78,8 +78,8 @@ type Stats struct {
 // from the snapshot's bucket boundaries: the top edge of the first bucket
 // at which the cumulative count reaches q·total. Quantiles beyond the last
 // occupied bucket report LatencyMax; an empty snapshot reports 0. This is
-// the single home of the bucket math — Stats(), the /stats endpoint and
-// the benches all read quantiles through it.
+// the single home of the bucket math — Stats() and the benches read
+// quantiles through it.
 func (st *Stats) LatencyQuantile(q float64) time.Duration {
 	var total int64
 	for _, c := range st.LatencyHist {

@@ -2,32 +2,23 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
-	"sketchsp/internal/core"
 	"sketchsp/internal/wire"
 )
 
 // Per-peer batch fan-out: shards of one request whose primary candidate is
-// the same peer ride a single MsgShardBatchRequest frame instead of one
-// HTTP call each, collapsing N-shards-on-K-peers from N round trips to K.
-// The batch is a transport optimisation only — each shard still resolves
-// independently through runShard, so hedging and failover treat a
-// batch-borne shard exactly like a direct one: a batch-level failure (or a
-// per-item error) sends just the affected shards to their backup peers as
-// ordinary single-shard RPCs.
-//
-// One asymmetry is deliberate: a batch-level StatusMalformed is demoted
-// from fail-fast to failover. On a single-shard RPC, StatusMalformed means
-// our request is bad and no peer can cure it; on a whole batch frame it is
-// also what a pre-batch worker answers for the unknown message type, so
-// the coordinator falls back to single-shard RPCs against the next
-// candidate rather than failing the request. Per-item statuses inside a
-// decoded batch response keep the normal taxonomy — a worker that speaks
-// batch and says StatusInvalidMatrix means it.
+// the same peer ride a single sketch request of placed items instead of
+// one HTTP call each, collapsing N-shards-on-K-peers from N round trips to
+// K. The batch is a transport optimisation only — each shard still
+// resolves independently through runShard, so hedging and failover treat
+// a batch-borne shard exactly like a direct one: a batch-level failure (or
+// a per-item error) sends just the affected shards to their backup peers
+// as ordinary single-shard RPCs. The fleet runs one wire version, so a
+// batch-level StatusMalformed means what it means on a single shard — our
+// request is bad — and fails fast like one.
 
 // batchCall is one in-flight batch RPC shared by the runShard goroutines
 // of its member shards. resps is index-aligned with the request slice and
@@ -36,54 +27,31 @@ import (
 type batchCall struct {
 	p       *peer
 	done    chan struct{}
-	resps   []wire.ShardResponse
+	resps   []wire.SketchResponse
 	err     error
 	pending atomic.Int32
 	cancel  context.CancelFunc
 }
 
-// launchBatch issues one batch frame for shards to p. Metrics for the
-// frame — one peer request, one batch, len(shards) subrequests, the wire
+// launchBatch issues one request of placed items to p. Metrics for the
+// frame — one peer request, one batch, len(items) subrequests, the wire
 // bytes and the batch-size observation — are counted here exactly once;
 // runShard counts nothing for a batch-borne primary attempt.
-func (c *Coordinator) launchBatch(ctx context.Context, p *peer, shards []*Shard, nTotal, d int, opts core.Options) *batchCall {
-	reqs := make([]wire.ShardRequest, len(shards))
-	for i, sh := range shards {
-		reqs[i] = wire.ShardRequest{
-			J0:     sh.J0,
-			NTotal: nTotal,
-			SketchRequest: wire.SketchRequest{
-				D:    d,
-				Opts: opts,
-				A:    sh.A,
-			},
-		}
-	}
+func (c *Coordinator) launchBatch(ctx context.Context, p *peer, items []wire.SketchItem) *batchCall {
 	bctx, cancel := context.WithCancel(ctx)
 	bc := &batchCall{p: p, done: make(chan struct{}), cancel: cancel}
-	bc.pending.Store(int32(len(shards)))
+	bc.pending.Store(int32(len(items)))
 	c.met.batches.Inc()
-	c.met.batchSize.ObserveValue(int64(len(shards)))
-	c.met.subrequests.Add(int64(len(shards)))
+	c.met.batchSize.ObserveValue(int64(len(items)))
+	c.met.subrequests.Add(int64(len(items)))
 	p.met.requests.Inc()
-	p.met.bytes.Add(int64(wire.ShardBatchRequestWireSize(reqs)))
+	p.met.bytes.Add(int64(wire.SketchRequestWireSize(items)))
 	go func() {
 		defer close(bc.done)
 		start := time.Now()
-		resps, err := p.cli.SketchShardBatch(bctx, reqs)
+		resps, err := p.cli.Do(bctx, items)
 		if err != nil {
-			var se *wire.StatusError
-			if errors.As(err, &se) && se.Code == wire.StatusMalformed {
-				// Pre-batch worker (or a frame the peer cannot read):
-				// strip the status from the chain so failFast routes the
-				// members to single-shard failover instead of aborting.
-				err = fmt.Errorf("shard: peer %s rejected batch frame: %v", p.name, err)
-			}
 			bc.err = err
-			return
-		}
-		if len(resps) != len(reqs) {
-			bc.err = fmt.Errorf("shard: peer %s answered %d items for a %d-shard batch", p.name, len(resps), len(reqs))
 			return
 		}
 		p.lat.Record(time.Since(start))
@@ -97,7 +65,7 @@ func (c *Coordinator) launchBatch(ctx context.Context, p *peer, shards []*Shard,
 // failFast classification is identical to the single-shard path; a wrong
 // J0 echo is a peer-health failure (failover re-asks a backup — and even
 // if it slipped through, place() rejects misplacement again upstream).
-func (bc *batchCall) wait(ctx context.Context, idx int, sh *Shard) (*wire.ShardResponse, error) {
+func (bc *batchCall) wait(ctx context.Context, idx int, sh *Shard) (*wire.SketchResponse, error) {
 	defer bc.release()
 	select {
 	case <-ctx.Done():

@@ -78,12 +78,12 @@ func (c *Coordinator) SketchRef(ctx context.Context, fp sparse.Fingerprint, d in
 func (c *Coordinator) byRefCaller(d int, opts core.Options) *shardCaller {
 	return &shardCaller{
 		bytes: func(*Shard) int64 { return wire.SketchRefWireSize },
-		call: func(ctx context.Context, p *peer, sh *Shard) (*wire.ShardResponse, error) {
+		call: func(ctx context.Context, p *peer, sh *Shard) (*wire.SketchResponse, error) {
 			partial, st, err := p.cli.SketchCached(ctx, sh.A, d, opts)
 			if err != nil {
 				return nil, err
 			}
-			return &wire.ShardResponse{Status: wire.StatusOK, J0: sh.J0, Stats: st, Partial: partial}, nil
+			return &wire.SketchResponse{Status: wire.StatusOK, J0: sh.J0, Stats: st, Ahat: partial}, nil
 		},
 	}
 }

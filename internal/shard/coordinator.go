@@ -54,11 +54,6 @@ type Config struct {
 	// backup's latency window is cold (fewer than 8 observations).
 	// 0 selects 100ms.
 	HedgeMaxDelay time.Duration
-	// DisableBatch turns off per-peer batch fan-out, forcing one HTTP call
-	// per shard (the pre-batch wire behaviour). The zero value — batching
-	// on — is right except for A/B measurement and talking to pre-batch
-	// workers without paying the per-request fallback round trip.
-	DisableBatch bool
 	// StoreBytes bounds the coordinator's own content-addressed matrix
 	// store behind PutMatrix/SketchRef/PatchMatrix. 0 selects
 	// store.DefaultMaxBytes; negative means unbounded.
@@ -183,39 +178,42 @@ func (c *Coordinator) sketch(ctx context.Context, a *sparse.CSC, d int, opts cor
 		return nil, core.Stats{}, fmt.Errorf("%w: %v", core.ErrInvalidMatrix, err)
 	}
 
-	shardReq := func(sh *Shard) *wire.ShardRequest {
-		return &wire.ShardRequest{
-			J0:     sh.J0,
-			NTotal: a.N,
-			SketchRequest: wire.SketchRequest{
-				D:    d,
-				Opts: opts,
-				A:    sh.A,
-			},
-		}
+	item := func(sh *Shard) wire.SketchItem {
+		return wire.SketchItem{D: d, Opts: opts, A: sh.A, Placed: true, J0: sh.J0, NTotal: a.N}
 	}
 	caller := &shardCaller{
 		bytes: func(sh *Shard) int64 {
-			return int64(wire.ShardRequestWireSize(shardReq(sh)))
+			return int64(wire.SketchRequestWireSize([]wire.SketchItem{item(sh)}))
 		},
-		call: func(ctx context.Context, p *peer, sh *Shard) (*wire.ShardResponse, error) {
-			return p.cli.SketchShard(ctx, shardReq(sh))
+		call: func(ctx context.Context, p *peer, sh *Shard) (*wire.SketchResponse, error) {
+			rs, err := p.cli.Do(ctx, []wire.SketchItem{item(sh)})
+			if err != nil {
+				return nil, err
+			}
+			if err := rs[0].Err(); err != nil {
+				return nil, err
+			}
+			return &rs[0], nil
 		},
 		batch: func(ctx context.Context, p *peer, group []*Shard) *batchCall {
-			return c.launchBatch(ctx, p, group, a.N, d, opts)
+			items := make([]wire.SketchItem, len(group))
+			for i, sh := range group {
+				items[i] = item(sh)
+			}
+			return c.launchBatch(ctx, p, items)
 		},
 	}
 	return c.fanMerge(ctx, a, d, caller)
 }
 
 // shardCaller is the per-path RPC strategy fanMerge hands to runShard:
-// inline sharding ships the shard's CSC (and can group shards into batch
-// frames), by-reference ships its fingerprint (and cannot — the upload
-// fallback is per-shard). Placement, hedging, failover and merging are
-// shared; only the wire call differs.
+// inline sharding ships the shard's CSC (and can group shards into one
+// request per peer), by-reference ships its fingerprint (and cannot — the
+// upload fallback is per-shard). Placement, hedging, failover and merging
+// are shared; only the wire call differs.
 type shardCaller struct {
 	bytes func(sh *Shard) int64
-	call  func(ctx context.Context, p *peer, sh *Shard) (*wire.ShardResponse, error)
+	call  func(ctx context.Context, p *peer, sh *Shard) (*wire.SketchResponse, error)
 	batch func(ctx context.Context, p *peer, group []*Shard) *batchCall // nil: path cannot batch
 }
 
@@ -244,15 +242,15 @@ func (c *Coordinator) fanMerge(ctx context.Context, a *sparse.CSC, d int, caller
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Per-peer batching: shards sharing a primary candidate ride one wire
-	// frame. Singleton groups stay on the single-shard RPC — a one-item
-	// batch saves nothing and costs a layer of framing.
+	// Per-peer batching: shards sharing a primary candidate ride one
+	// request. Singleton groups stay on the single-shard RPC, which the
+	// hedging and failover layers drive directly.
 	type batchRef struct {
 		bc  *batchCall
 		idx int
 	}
 	batchOf := make([]batchRef, len(shards))
-	if caller.batch != nil && !c.cfg.DisableBatch {
+	if caller.batch != nil {
 		groups := make(map[*peer][]int)
 		for i := range shards {
 			p := cands[i][0]
@@ -275,7 +273,7 @@ func (c *Coordinator) fanMerge(ctx context.Context, a *sparse.CSC, d int, caller
 
 	type result struct {
 		idx  int
-		resp *wire.ShardResponse
+		resp *wire.SketchResponse
 		err  error
 	}
 	results := make(chan result, len(shards))
@@ -342,19 +340,19 @@ func (c *Coordinator) fanMerge(ctx context.Context, a *sparse.CSC, d int, caller
 // Together with the Accumulator's coverage check this is the duplicate/
 // misplacement rejection layer: a partial whose echoed j0 or width
 // disagrees with the shard fails the request rather than corrupting Â.
-func (c *Coordinator) place(acc *Accumulator, sh *Shard, resp *wire.ShardResponse) error {
+func (c *Coordinator) place(acc *Accumulator, sh *Shard, resp *wire.SketchResponse) error {
 	width := sh.J1 - sh.J0
 	if resp.J0 != sh.J0 {
 		return fmt.Errorf("shard: response echoes j0=%d for shard [%d:%d)", resp.J0, sh.J0, sh.J1)
 	}
-	if resp.Partial == nil || resp.Partial.Cols != width {
+	if resp.Ahat == nil || resp.Ahat.Cols != width {
 		cols := -1
-		if resp.Partial != nil {
-			cols = resp.Partial.Cols
+		if resp.Ahat != nil {
+			cols = resp.Ahat.Cols
 		}
 		return fmt.Errorf("shard: partial has %d columns for shard [%d:%d)", cols, sh.J0, sh.J1)
 	}
-	return acc.Add(sh.J0, resp.Partial)
+	return acc.Add(sh.J0, resp.Ahat)
 }
 
 // failFast reports whether err is an input-class failure that no failover

@@ -172,10 +172,10 @@ func TestCoordinatorBatch(t *testing.T) {
 // overloadFrame is a canned StatusOverloaded shard answer.
 func overloadFrame(t *testing.T) []byte {
 	t.Helper()
-	payload := wire.AppendShardResponse(nil, &wire.ShardResponse{
+	payload := wire.AppendSketchResponse(nil, []wire.SketchResponse{{
 		Status: wire.StatusOverloaded, Detail: "test shed",
-	})
-	frame, err := wire.AppendFrame(nil, wire.MsgShardResponse, payload)
+	}})
+	frame, err := wire.AppendFrame(nil, wire.MsgSketchResponse, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -140,10 +138,14 @@ func TestDuplicateAnswerRejected(t *testing.T) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, r)
 			body := rec.Body.Bytes()
-			if typ, payload, _, err := wire.SplitFrame(body, 1<<30); err == nil && typ == wire.MsgShardResponse {
-				if resp, derr := wire.DecodeShardResponse(payload); derr == nil && resp.Status == wire.StatusOK {
-					resp.J0 += 3
-					if nb, ferr := wire.AppendFrame(nil, wire.MsgShardResponse, wire.AppendShardResponse(nil, resp)); ferr == nil {
+			if typ, payload, _, err := wire.SplitFrame(body, 1<<30); err == nil && typ == wire.MsgSketchResponse {
+				if rs, derr := wire.DecodeSketchResponse(payload); derr == nil {
+					for i := range rs {
+						if rs[i].Status == wire.StatusOK {
+							rs[i].J0 += 3
+						}
+					}
+					if nb, ferr := wire.AppendFrame(nil, wire.MsgSketchResponse, wire.AppendSketchResponse(nil, rs)); ferr == nil {
 						body = nb
 					}
 				}
@@ -341,8 +343,7 @@ func TestWatchPeersFile(t *testing.T) {
 }
 
 // TestBatchFanout pins the per-peer batch path: more shards than peers
-// produce batch frames, the merged sketch stays bit-identical, and
-// turning batching off removes the frames without changing the answer.
+// produce batch frames, and the merged sketch stays bit-identical.
 func TestBatchFanout(t *testing.T) {
 	a := sparse.PowerLaw(320, 64, 2000, 1.3, 51)
 	opts := core.Options{Dist: rng.Gaussian, Seed: 19, Workers: 1}
@@ -366,64 +367,4 @@ func TestBatchFanout(t *testing.T) {
 		t.Fatalf("subrequests_total = %v, want 8 (batch items count individually)", v)
 	}
 	metricLine(t, scrape(t, c), "sketchsp_shard_batch_size_count")
-
-	cNo, err := New(Config{Peers: urls, Shards: 8, DisableBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cNo.Close()
-	got2, _, err := cNo.Sketch(context.Background(), a, 14, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, got2, want)
-	if v := counterValue(t, cNo, "sketchsp_shard_batches_total"); v != 0 {
-		t.Fatalf("batches_total = %v with batching disabled", v)
-	}
-}
-
-// TestBatchFallbackToPreBatchWorker emulates workers that reject the batch
-// frame type with StatusMalformed (what a pre-batch sketchd answers): the
-// coordinator must demote the rejection to failover and finish every shard
-// over single-shard RPCs, bit-identically.
-func TestBatchFallbackToPreBatchWorker(t *testing.T) {
-	rejectBatches := func(i int, h http.Handler) http.Handler {
-		payload := wire.AppendShardBatchResponse(nil, []wire.ShardResponse{{
-			Status: wire.StatusMalformed, Detail: "unknown message type 16",
-		}})
-		frame, err := wire.AppendFrame(nil, wire.MsgShardBatchResponse, payload)
-		if err != nil {
-			panic(err)
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			if typ, _, _, err := wire.SplitFrame(body, 1<<30); err == nil && typ == wire.MsgShardBatchRequest {
-				w.Write(frame)
-				return
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			h.ServeHTTP(w, r)
-		})
-	}
-	_, urls := startWorkers(t, 2, rejectBatches)
-	c, err := New(Config{Peers: urls, Shards: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	a := sparse.RandomUniform(260, 52, 0.07, 61)
-	opts := core.Options{Dist: rng.Rademacher, Seed: 29, Workers: 1}
-	got, _, err := c.Sketch(context.Background(), a, 10, opts)
-	if err != nil {
-		t.Fatalf("batch rejection was not demoted to failover: %v", err)
-	}
-	assertBitIdentical(t, got, directSketch(t, a, 10, opts))
-	if v := counterValue(t, c, "sketchsp_shard_failovers_total"); v < 1 {
-		t.Fatalf("failovers_total = %v, want >= 1", v)
-	}
 }

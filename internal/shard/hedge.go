@@ -97,10 +97,10 @@ func (c *Coordinator) hedgeDelay(backup *peer) time.Duration {
 // before an answer, fail over on peer-health errors, and cancel every
 // losing attempt on return. Input-class failures (failFast) abort
 // immediately — no peer can cure a bad request.
-func (c *Coordinator) runShard(ctx context.Context, sh *Shard, cands []*peer, caller *shardCaller, bc *batchCall, bcIdx int) (*wire.ShardResponse, error) {
+func (c *Coordinator) runShard(ctx context.Context, sh *Shard, cands []*peer, caller *shardCaller, bc *batchCall, bcIdx int) (*wire.SketchResponse, error) {
 	type attemptResult struct {
 		idx   int
-		resp  *wire.ShardResponse
+		resp  *wire.SketchResponse
 		err   error
 		hedge bool
 	}

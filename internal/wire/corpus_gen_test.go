@@ -13,14 +13,13 @@ import (
 	"sketchsp/internal/sparse"
 )
 
-// The three committed degenerate corpus seeds for the v3 content-addressed
-// messages. Each is a well-framed message whose payload is broken in a way
+// The committed degenerate corpus seeds. Each is a well-framed message whose payload is broken in a way
 // a length prefix alone cannot catch, so the fuzzer starts from inputs that
 // exercise the deep rejection paths rather than having to mutate its way
 // there:
 //
-//   - truncated-fingerprint: a sketch-by-reference request cut one byte
-//     short of its fixed 121-byte payload.
+//   - ref-truncated-fingerprint: a one-item by-reference sketch request
+//     cut one byte short of its fixed SketchRefWireSize frame.
 //   - delta-overlapping-rows: a matrix delta whose CSC carries the same row
 //     index twice in one column (rejected by sparse validation, not by any
 //     size check).
@@ -28,7 +27,7 @@ import (
 //     the payload holds two entries — the size guard must refuse to
 //     allocate before touching the arrays.
 //
-// The v4 solve messages add three more:
+// The solve messages add three more:
 //
 //   - solve-bad-method: a well-formed solve request whose method byte is
 //     one past the last defined SolveMethod.
@@ -38,16 +37,17 @@ import (
 //   - jobstatus-bad-state: a job status whose state byte is past
 //     StateCancelled.
 //
-// The shard batch messages add three more:
+// Per-peer shard batches — sketch requests of placed items — add three
+// more:
 //
-//   - shardbatch-truncated: a valid two-shard batch with the last payload
-//     byte cut off — the final item claims more bytes than remain.
+//   - shardbatch-truncated: a valid two-shard request with the last payload
+//     byte cut off — the final item's CSC claims more bytes than remain.
 //   - shardbatch-overlapping-ranges: two shards both starting at j0=0, the
 //     duplicate-coverage shape the decoder (and one layer up, the
 //     Accumulator) must reject.
 //   - shardbatch-oversized-count: a count field of ~4 billion over a
 //     two-item payload — the count guard must refuse before allocating
-//     item views.
+//     items.
 //
 // The seeds are generated deterministically from the codec itself; run
 //
@@ -58,13 +58,14 @@ import (
 func corpusSeeds(t *testing.T) map[string][]byte {
 	t.Helper()
 
-	// Seed 1: valid sketch-ref frame, fingerprint truncated by one byte.
-	ref := AppendSketchRef(nil, &SketchRefRequest{
-		D:    8,
-		Opts: core.Options{Dist: rng.SJLT, Source: rng.SourcePhilox, Seed: 42, Sparsity: 2},
-		Fp:   sparse.Fingerprint{M: 128, N: 64, NNZ: 512, Hash: 0x0123456789abcdef},
-	})
-	truncated := mustFrame(MsgSketchRef, ref[:len(ref)-1])
+	// Seed 1: valid by-reference request, fingerprint truncated by one byte.
+	ref := AppendSketchRequest(nil, []SketchItem{{
+		D:     8,
+		Opts:  core.Options{Dist: rng.SJLT, Source: rng.SourcePhilox, Seed: 42, Sparsity: 2},
+		ByRef: true,
+		Fp:    sparse.Fingerprint{M: 128, N: 64, NNZ: 512, Hash: 0x0123456789abcdef},
+	}})
+	truncated := mustFrame(MsgSketchRequest, ref[:len(ref)-1])
 
 	// Seed 2: matrix delta whose CSC repeats row 1 in column 0. Built from
 	// a valid two-entry delta, then the second row index is patched to
@@ -118,26 +119,24 @@ func corpusSeeds(t *testing.T) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := []ShardRequest{
-		{J0: 0, NTotal: 8, SketchRequest: SketchRequest{D: 3, Opts: core.Options{
-			Dist: rng.Rademacher, Seed: 5,
-		}, A: shardA}},
-		{J0: 4, NTotal: 8, SketchRequest: SketchRequest{D: 3, Opts: core.Options{
-			Dist: rng.Rademacher, Seed: 5,
-		}, A: shardA}},
+	batch := []SketchItem{
+		{D: 3, Opts: core.Options{Dist: rng.Rademacher, Seed: 5},
+			A: shardA, Placed: true, J0: 0, NTotal: 8},
+		{D: 3, Opts: core.Options{Dist: rng.Rademacher, Seed: 5},
+			A: shardA, Placed: true, J0: 4, NTotal: 8},
 	}
-	bp := AppendShardBatchRequest(nil, batch)
-	batchTruncated := mustFrame(MsgShardBatchRequest, bp[:len(bp)-1])
+	bp := AppendSketchRequest(nil, batch)
+	batchTruncated := mustFrame(MsgSketchRequest, bp[:len(bp)-1])
 
 	// Seed 8: both shards start at j0=0 — overlapping column coverage.
-	overlapBatch := []ShardRequest{batch[0], batch[0]}
-	batchOverlap := mustFrame(MsgShardBatchRequest, AppendShardBatchRequest(nil, overlapBatch))
+	overlapBatch := []SketchItem{batch[0], batch[0]}
+	batchOverlap := mustFrame(MsgSketchRequest, AppendSketchRequest(nil, overlapBatch))
 
 	// Seed 9: count patched to ~2^32 over the two-item payload (count is
 	// payload bytes 0..4).
-	cp := AppendShardBatchRequest(nil, batch)
+	cp := AppendSketchRequest(nil, batch)
 	copy(cp[0:4], appendU32(nil, 1<<32-2))
-	batchCount := mustFrame(MsgShardBatchRequest, cp)
+	batchCount := mustFrame(MsgSketchRequest, cp)
 
 	return map[string][]byte{
 		"ref-truncated-fingerprint":     truncated,
@@ -162,8 +161,8 @@ func TestCommittedCorpusSeeds(t *testing.T) {
 			t.Fatalf("%s: frame must split cleanly, got %v", name, err)
 		}
 		switch typ {
-		case MsgSketchRef:
-			_, err = DecodeSketchRef(payload)
+		case MsgSketchRequest:
+			_, err = DecodeSketchRequest(payload)
 		case MsgMatrixDelta:
 			_, err = DecodeMatrixDelta(payload)
 		case MsgMatrixPut:
@@ -172,8 +171,6 @@ func TestCommittedCorpusSeeds(t *testing.T) {
 			_, err = DecodeSolveRequest(payload)
 		case MsgJobStatus:
 			_, err = DecodeJobStatus(payload)
-		case MsgShardBatchRequest:
-			_, err = DecodeShardBatchRequest(payload)
 		default:
 			t.Fatalf("%s: unexpected type %v", name, typ)
 		}

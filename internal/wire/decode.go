@@ -3,7 +3,6 @@ package wire
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"sketchsp/internal/core"
 	"sketchsp/internal/dense"
@@ -39,24 +38,16 @@ func DecodeCSC(payload []byte) (*sparse.CSC, error) {
 // DecodeCSCInto decodes a CSC payload into dst, reusing the capacity of
 // dst's slices — the hot-path form the server's request scratch pool uses.
 func DecodeCSCInto(dst *sparse.CSC, payload []byte) error {
-	if len(payload) < 24 {
-		return fmt.Errorf("%w: CSC payload %d bytes, want >= 24", ErrMalformed, len(payload))
+	size, err := cscSize(payload)
+	if err != nil {
+		return err
+	}
+	if size != len(payload) {
+		return fmt.Errorf("%w: CSC payload %d bytes, want %d", ErrMalformed, len(payload), size)
 	}
 	m := getU64(payload[0:])
 	n := getU64(payload[8:])
 	nnz := getU64(payload[16:])
-	rem := uint64(len(payload) - 24)
-	if m > MaxDim || n > MaxDim {
-		return fmt.Errorf("%w: CSC dims %dx%d exceed MaxDim", ErrMalformed, m, n)
-	}
-	// Every ColPtr entry costs 8 bytes and every stored entry 16, so any
-	// consistent (n, nnz) is bounded by the payload before we multiply.
-	if n+1 > rem/8 || nnz > rem/16 {
-		return fmt.Errorf("%w: CSC n=%d nnz=%d inconsistent with %d payload bytes", ErrMalformed, n, nnz, rem)
-	}
-	if need := 8*(n+1) + 16*nnz; need != rem {
-		return fmt.Errorf("%w: CSC payload %d bytes, want %d", ErrMalformed, rem, need)
-	}
 	dst.M, dst.N = int(m), int(n)
 	dst.ColPtr = intSliceInto(dst.ColPtr, int(n)+1)
 	dst.RowIdx = intSliceInto(dst.RowIdx, int(nnz))
@@ -92,22 +83,15 @@ func DecodeDense(payload []byte) (*dense.Matrix, error) {
 // DecodeDenseInto decodes a dense payload into dst, reusing Data capacity.
 // The decoded matrix always has a tight stride.
 func DecodeDenseInto(dst *dense.Matrix, payload []byte) error {
-	if len(payload) < 16 {
-		return fmt.Errorf("%w: dense payload %d bytes, want >= 16", ErrMalformed, len(payload))
+	size, err := denseSize(payload)
+	if err != nil {
+		return err
+	}
+	if size != len(payload) {
+		return fmt.Errorf("%w: dense payload %d bytes, want %d", ErrMalformed, len(payload), size)
 	}
 	rows := getU64(payload[0:])
 	cols := getU64(payload[8:])
-	rem := uint64(len(payload) - 16)
-	if rows > MaxDim || cols > MaxDim {
-		return fmt.Errorf("%w: dense dims %dx%d exceed MaxDim", ErrMalformed, rows, cols)
-	}
-	elems := rem / 8
-	if rows != 0 && cols != 0 && (rows > elems || cols > elems/rows) {
-		return fmt.Errorf("%w: dense %dx%d inconsistent with %d payload bytes", ErrMalformed, rows, cols, rem)
-	}
-	if need := rows * cols * 8; need != rem {
-		return fmt.Errorf("%w: dense payload %d bytes, want %d", ErrMalformed, rem, need)
-	}
 	dst.Rows, dst.Cols = int(rows), int(cols)
 	dst.Stride = int(rows)
 	dst.Data = f64SliceInto(dst.Data, int(rows)*int(cols))
@@ -119,46 +103,61 @@ func DecodeDenseInto(dst *dense.Matrix, payload []byte) error {
 	return nil
 }
 
-// DecodeRequest decodes a single-request payload, allocating the matrix.
-func DecodeRequest(payload []byte) (SketchRequest, error) {
-	var req SketchRequest
-	err := DecodeRequestInto(&req, payload)
-	return req, err
+// cscSize reads the (m, n, nnz) head of the CSC payload that starts b and
+// returns the payload's full encoded length, rejecting any head the bytes
+// of b cannot back. Sketch request items embed their CSC without a length
+// prefix; this is how the item decoder finds where the matrix ends.
+func cscSize(b []byte) (int, error) {
+	if len(b) < 24 {
+		return 0, fmt.Errorf("%w: CSC payload %d bytes, want >= 24", ErrMalformed, len(b))
+	}
+	m := getU64(b[0:])
+	n := getU64(b[8:])
+	nnz := getU64(b[16:])
+	rem := uint64(len(b) - 24)
+	if m > MaxDim || n > MaxDim {
+		return 0, fmt.Errorf("%w: CSC dims %dx%d exceed MaxDim", ErrMalformed, m, n)
+	}
+	// Every ColPtr entry costs 8 bytes and every stored entry 16, so any
+	// consistent (n, nnz) is bounded by the payload before we multiply.
+	if n+1 > rem/8 || nnz > rem/16 {
+		return 0, fmt.Errorf("%w: CSC n=%d nnz=%d inconsistent with %d payload bytes", ErrMalformed, n, nnz, rem)
+	}
+	need := 8*(n+1) + 16*nnz
+	if need > rem {
+		return 0, fmt.Errorf("%w: CSC payload %d bytes, want %d", ErrMalformed, rem, need)
+	}
+	return 24 + int(need), nil
 }
 
-// DecodeRequestInto decodes a single-request payload into dst, reusing
-// dst.A's slice capacity when dst.A is non-nil (the server's pooled path).
-func DecodeRequestInto(dst *SketchRequest, payload []byte) error {
-	if len(payload) < requestFixedSize {
-		return fmt.Errorf("%w: request payload %d bytes, want >= %d", ErrMalformed, len(payload), requestFixedSize)
+// denseSize is cscSize for a dense payload: the full encoded length of the
+// rows×cols matrix that starts b.
+func denseSize(b []byte) (int, error) {
+	if len(b) < 16 {
+		return 0, fmt.Errorf("%w: dense payload %d bytes, want >= 16", ErrMalformed, len(b))
 	}
-	d, opts, err := decodeRequestFixed(payload)
-	if err != nil {
-		return err
+	rows := getU64(b[0:])
+	cols := getU64(b[8:])
+	rem := uint64(len(b) - 16)
+	if rows > MaxDim || cols > MaxDim {
+		return 0, fmt.Errorf("%w: dense dims %dx%d exceed MaxDim", ErrMalformed, rows, cols)
 	}
-	dst.D = d
-	dst.Opts = opts
-	if dst.A == nil {
-		dst.A = new(sparse.CSC)
+	elems := rem / 8
+	if rows != 0 && cols != 0 && (rows > elems || cols > elems/rows) {
+		return 0, fmt.Errorf("%w: dense %dx%d inconsistent with %d payload bytes", ErrMalformed, rows, cols, rem)
 	}
-	return DecodeCSCInto(dst.A, payload[requestFixedSize:])
+	need := rows * cols * 8
+	if need > rem {
+		return 0, fmt.Errorf("%w: dense payload %d bytes, want %d", ErrMalformed, rem, need)
+	}
+	return 16 + int(need), nil
 }
 
-// decodeRequestFixed parses the requestFixedSize (d, options) prefix shared
-// by MsgSketchRequest and MsgSketchRef payloads. The caller guarantees
-// len(payload) >= requestFixedSize.
-func decodeRequestFixed(payload []byte) (int, core.Options, error) {
-	d := getU64(payload[0:])
-	if d > MaxDim {
-		return 0, core.Options{}, fmt.Errorf("%w: sketch size %d exceeds MaxDim", ErrMalformed, d)
-	}
-	opts, err := decodeSketchOpts(payload[8:])
-	return int(d), opts, err
-}
-
-// decodeSketchOpts parses an optsWireSize core.Options block. The caller
-// guarantees len(payload) >= optsWireSize.
-func decodeSketchOpts(payload []byte) (core.Options, error) {
+// decodeSketchOpts parses an optsWireSize core.Options block and returns
+// the sketch-item bits of its flag byte. itemFlags is the set of item bits
+// the caller's message defines (the solve request defines none); any other
+// set bit is rejected. The caller guarantees len(payload) >= optsWireSize.
+func decodeSketchOpts(payload []byte, itemFlags byte) (core.Options, byte, error) {
 	var opts core.Options
 	opts.Seed = getU64(payload[0:])
 	alg := int64(getU64(payload[8:]))
@@ -180,23 +179,23 @@ func decodeSketchOpts(payload []byte) (core.Options, error) {
 	// here, never silently mapped to a default distribution.
 	switch {
 	case alg < int64(core.AlgAuto) || alg > int64(core.Alg4):
-		return opts, fmt.Errorf("%w: algorithm %d out of domain", ErrMalformed, alg)
+		return opts, 0, fmt.Errorf("%w: algorithm %d out of domain", ErrMalformed, alg)
 	case dist < int64(rng.Uniform11) || dist > int64(rng.CountSketch):
-		return opts, fmt.Errorf("%w: distribution %d out of domain", ErrMalformed, dist)
+		return opts, 0, fmt.Errorf("%w: distribution %d out of domain", ErrMalformed, dist)
 	case src < int64(rng.SourceBatchXoshiro) || src > int64(rng.SourcePhilox):
-		return opts, fmt.Errorf("%w: rng source %d out of domain", ErrMalformed, src)
+		return opts, 0, fmt.Errorf("%w: rng source %d out of domain", ErrMalformed, src)
 	case sched < int64(core.SchedWeighted) || sched > int64(core.SchedUniform):
-		return opts, fmt.Errorf("%w: scheduler %d out of domain", ErrMalformed, sched)
+		return opts, 0, fmt.Errorf("%w: scheduler %d out of domain", ErrMalformed, sched)
 	case blockD < 0 || blockD > MaxDim || blockN < 0 || blockN > MaxDim:
-		return opts, fmt.Errorf("%w: block sizes (%d, %d) out of domain", ErrMalformed, blockD, blockN)
+		return opts, 0, fmt.Errorf("%w: block sizes (%d, %d) out of domain", ErrMalformed, blockD, blockN)
 	case workers < 0 || workers > 1<<20:
-		return opts, fmt.Errorf("%w: workers %d out of domain", ErrMalformed, workers)
+		return opts, 0, fmt.Errorf("%w: workers %d out of domain", ErrMalformed, workers)
 	case sparsity < 0 || sparsity > MaxDim:
-		return opts, fmt.Errorf("%w: sparsity %d out of domain", ErrMalformed, sparsity)
+		return opts, 0, fmt.Errorf("%w: sparsity %d out of domain", ErrMalformed, sparsity)
 	case math.IsNaN(rngCost) || math.IsInf(rngCost, 0) || rngCost < 0:
-		return opts, fmt.Errorf("%w: non-finite or negative RNGCost", ErrMalformed)
-	case flags&^3 != 0:
-		return opts, fmt.Errorf("%w: unknown request flags %#x", ErrMalformed, flags)
+		return opts, 0, fmt.Errorf("%w: non-finite or negative RNGCost", ErrMalformed)
+	case flags&^(3|itemFlags) != 0:
+		return opts, 0, fmt.Errorf("%w: unknown request flags %#x", ErrMalformed, flags)
 	}
 	opts.Algorithm = core.Algorithm(alg)
 	opts.Dist = rng.Distribution(dist)
@@ -209,73 +208,7 @@ func decodeSketchOpts(payload []byte) (core.Options, error) {
 	opts.RNGCost = rngCost
 	opts.Timed = flags&1 != 0
 	opts.TuneBlockN = flags&2 != 0
-	return opts, nil
-}
-
-// DecodeResponse decodes a single-response payload.
-func DecodeResponse(payload []byte) (*SketchResponse, error) {
-	r := new(SketchResponse)
-	if err := DecodeResponseInto(r, payload); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// DecodeResponseInto decodes a single-response payload into dst, reusing
-// dst.Ahat's Data capacity when dst.Ahat is non-nil.
-func DecodeResponseInto(dst *SketchResponse, payload []byte) error {
-	if len(payload) < 1 {
-		return fmt.Errorf("%w: empty response payload", ErrMalformed)
-	}
-	st := Status(payload[0])
-	if st > maxStatus {
-		return fmt.Errorf("%w: unknown status %d", ErrMalformed, payload[0])
-	}
-	dst.Status = st
-	if st != StatusOK {
-		if len(payload) < 5 {
-			return fmt.Errorf("%w: truncated error response", ErrMalformed)
-		}
-		n := uint64(getU32(payload[1:5]))
-		if uint64(len(payload)-5) != n {
-			return fmt.Errorf("%w: error detail %d bytes, want %d", ErrMalformed, len(payload)-5, n)
-		}
-		dst.Detail = string(payload[5:])
-		dst.Stats = core.Stats{}
-		dst.Ahat = nil
-		return nil
-	}
-	const statsSize = 6*8 + 8
-	if len(payload) < 1+statsSize {
-		return fmt.Errorf("%w: truncated response stats", ErrMalformed)
-	}
-	samples := int64(getU64(payload[1:]))
-	flops := int64(getU64(payload[9:]))
-	sampleNS := int64(getU64(payload[17:]))
-	convertNS := int64(getU64(payload[25:]))
-	totalNS := int64(getU64(payload[33:]))
-	steals := int64(getU64(payload[41:]))
-	imb := math.Float64frombits(getU64(payload[49:]))
-	if samples < 0 || flops < 0 || sampleNS < 0 || convertNS < 0 || totalNS < 0 || steals < 0 {
-		return fmt.Errorf("%w: negative response stats", ErrMalformed)
-	}
-	if math.IsNaN(imb) || math.IsInf(imb, 0) || imb < 0 {
-		return fmt.Errorf("%w: non-finite or negative imbalance", ErrMalformed)
-	}
-	dst.Detail = ""
-	dst.Stats = core.Stats{
-		Samples:     samples,
-		Flops:       flops,
-		SampleTime:  time.Duration(sampleNS),
-		ConvertTime: time.Duration(convertNS),
-		Total:       time.Duration(totalNS),
-		Steals:      steals,
-		Imbalance:   imb,
-	}
-	if dst.Ahat == nil {
-		dst.Ahat = new(dense.Matrix)
-	}
-	return DecodeDenseInto(dst.Ahat, payload[1+statsSize:])
+	return opts, flags & itemFlags, nil
 }
 
 // PeekStatus reads a response payload's status byte without decoding the
@@ -291,74 +224,6 @@ func PeekStatus(payload []byte) (Status, error) {
 		return 0, fmt.Errorf("%w: unknown status %d", ErrMalformed, payload[0])
 	}
 	return st, nil
-}
-
-// SplitBatchPayload parses a batch payload into its per-item payload views
-// without decoding the items. The views alias payload.
-func SplitBatchPayload(payload []byte) ([][]byte, error) {
-	_, items, err := splitBatch(payload)
-	return items, err
-}
-
-// DecodeBatchRequest decodes a batch-request payload.
-func DecodeBatchRequest(payload []byte) ([]SketchRequest, error) {
-	n, items, err := splitBatch(payload)
-	if err != nil {
-		return nil, err
-	}
-	reqs := make([]SketchRequest, n)
-	for i, item := range items {
-		if err := DecodeRequestInto(&reqs[i], item); err != nil {
-			return nil, fmt.Errorf("batch item %d: %w", i, err)
-		}
-	}
-	return reqs, nil
-}
-
-// DecodeBatchResponse decodes a batch-response payload.
-func DecodeBatchResponse(payload []byte) ([]SketchResponse, error) {
-	n, items, err := splitBatch(payload)
-	if err != nil {
-		return nil, err
-	}
-	rs := make([]SketchResponse, n)
-	for i, item := range items {
-		if err := DecodeResponseInto(&rs[i], item); err != nil {
-			return nil, fmt.Errorf("batch item %d: %w", i, err)
-		}
-	}
-	return rs, nil
-}
-
-// splitBatch parses the count-prefixed item list of a batch payload into
-// per-item views (no copying) and enforces exact consumption.
-func splitBatch(payload []byte) (int, [][]byte, error) {
-	if len(payload) < 4 {
-		return 0, nil, fmt.Errorf("%w: batch payload %d bytes, want >= 4", ErrMalformed, len(payload))
-	}
-	count := uint64(getU32(payload))
-	rest := payload[4:]
-	// Each item costs at least its own 4-byte length prefix.
-	if count > uint64(len(rest))/4 {
-		return 0, nil, fmt.Errorf("%w: batch count %d inconsistent with %d payload bytes", ErrMalformed, count, len(rest))
-	}
-	items := make([][]byte, count)
-	for i := range items {
-		if len(rest) < 4 {
-			return 0, nil, fmt.Errorf("%w: truncated batch item %d", ErrMalformed, i)
-		}
-		n := uint64(getU32(rest))
-		rest = rest[4:]
-		if n > uint64(len(rest)) {
-			return 0, nil, fmt.Errorf("%w: batch item %d claims %d of %d bytes", ErrMalformed, i, n, len(rest))
-		}
-		items[i] = rest[:n]
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrMalformed, len(rest))
-	}
-	return int(count), items, nil
 }
 
 func intSliceInto(s []int, n int) []int {

@@ -8,29 +8,6 @@ import (
 	"sketchsp/internal/sparse"
 )
 
-// SketchRequest is the decoded form of a MsgSketchRequest payload: one
-// sketch Â = S·A, where S is described by (D, Opts) and regenerated
-// server-side — the matrix S itself never crosses the wire.
-type SketchRequest struct {
-	D    int
-	Opts core.Options
-	A    *sparse.CSC
-}
-
-// SketchResponse is the decoded form of a MsgSketchResponse payload. A
-// non-OK Status carries only Detail; StatusOK carries Â and the execute
-// Stats (WorkerBusy, a plan-owned buffer, does not cross the wire).
-type SketchResponse struct {
-	Status Status
-	Detail string
-	Stats  core.Stats
-	Ahat   *dense.Matrix
-}
-
-// Err converts the response outcome into an error (nil for StatusOK),
-// unwrapping to the canonical sentinel of the status.
-func (r *SketchResponse) Err() error { return r.Status.Err(r.Detail) }
-
 // cscPayloadSize returns the encoded size of a's CSC payload.
 func cscPayloadSize(a *sparse.CSC) int {
 	return 24 + 8*(a.N+1) + 16*len(a.Val)
@@ -67,9 +44,9 @@ func AppendDense(dst []byte, m *dense.Matrix) []byte {
 	return dst
 }
 
-// requestFixedSize is the fixed-width prefix of a request payload before
-// the embedded CSC: d, seed, 8 option integers, rngCost, flag byte.
-const requestFixedSize = 8 + 8 + 8*8 + 8 + 1
+// requestFixedSize is the fixed-width head of a sketch request item
+// before its optional placement and its matrix: d, then the options block.
+const requestFixedSize = 8 + optsWireSize
 
 // optsWireSize is the encoded size of a core.Options block: seed, 8 option
 // integers, rngCost, flag byte. Shared by the sketch requests (after their
@@ -77,8 +54,9 @@ const requestFixedSize = 8 + 8 + 8*8 + 8 + 1
 const optsWireSize = 8 + 8*8 + 8 + 1
 
 // appendSketchOpts appends the core.Options block shared by every request
-// payload.
-func appendSketchOpts(dst []byte, opts core.Options) []byte {
+// payload. itemFlags are the sketch-item bits (flagByRef, flagPlaced)
+// carried in the block's flag byte; the solve request passes 0.
+func appendSketchOpts(dst []byte, opts core.Options, itemFlags byte) []byte {
 	dst = appendU64(dst, opts.Seed)
 	dst = appendU64(dst, uint64(int64(opts.Algorithm)))
 	dst = appendU64(dst, uint64(int64(opts.Dist)))
@@ -89,7 +67,7 @@ func appendSketchOpts(dst []byte, opts core.Options) []byte {
 	dst = appendU64(dst, uint64(int64(opts.Sched)))
 	dst = appendU64(dst, uint64(int64(opts.Sparsity)))
 	dst = appendU64(dst, math.Float64bits(opts.RNGCost))
-	var flags byte
+	flags := itemFlags
 	if opts.Timed {
 		flags |= 1
 	}
@@ -97,73 +75,6 @@ func appendSketchOpts(dst []byte, opts core.Options) []byte {
 		flags |= 2
 	}
 	return append(dst, flags)
-}
-
-// AppendRequest appends the request payload for (d, opts, a) to dst.
-func AppendRequest(dst []byte, d int, opts core.Options, a *sparse.CSC) []byte {
-	dst = appendU64(dst, uint64(d))
-	dst = appendSketchOpts(dst, opts)
-	return AppendCSC(dst, a)
-}
-
-// AppendResponse appends r's response payload to dst.
-func AppendResponse(dst []byte, r *SketchResponse) []byte {
-	dst = append(dst, byte(r.Status))
-	if r.Status != StatusOK {
-		detail := r.Detail
-		dst = appendU32(dst, uint32(len(detail)))
-		return append(dst, detail...)
-	}
-	dst = appendU64(dst, uint64(r.Stats.Samples))
-	dst = appendU64(dst, uint64(r.Stats.Flops))
-	dst = appendU64(dst, uint64(r.Stats.SampleTime.Nanoseconds()))
-	dst = appendU64(dst, uint64(r.Stats.ConvertTime.Nanoseconds()))
-	dst = appendU64(dst, uint64(r.Stats.Total.Nanoseconds()))
-	dst = appendU64(dst, uint64(r.Stats.Steals))
-	dst = appendU64(dst, math.Float64bits(r.Stats.Imbalance))
-	return AppendDense(dst, r.Ahat)
-}
-
-// AppendBatchRequest appends a batch-request payload: count, then each
-// request length-prefixed.
-func AppendBatchRequest(dst []byte, reqs []SketchRequest) []byte {
-	dst = appendU32(dst, uint32(len(reqs)))
-	for i := range reqs {
-		n := requestFixedSize + cscPayloadSize(reqs[i].A)
-		dst = appendU32(dst, uint32(n))
-		dst = AppendRequest(dst, reqs[i].D, reqs[i].Opts, reqs[i].A)
-	}
-	return dst
-}
-
-// AppendBatchResponse appends a batch-response payload: count, then each
-// response length-prefixed.
-func AppendBatchResponse(dst []byte, rs []SketchResponse) []byte {
-	dst = appendU32(dst, uint32(len(rs)))
-	for i := range rs {
-		mark := len(dst)
-		dst = appendU32(dst, 0) // length backpatched below
-		dst = AppendResponse(dst, &rs[i])
-		putU32(dst[mark:mark+4], uint32(len(dst)-mark-4))
-	}
-	return dst
-}
-
-// EncodeRequestFrame returns a complete single-request frame, ready for an
-// HTTP body. A matrix too large for the 32-bit frame length fails with
-// ErrTooLarge.
-func EncodeRequestFrame(d int, opts core.Options, a *sparse.CSC) ([]byte, error) {
-	payload := AppendRequest(make([]byte, 0, requestFixedSize+cscPayloadSize(a)), d, opts, a)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgSketchRequest, payload)
-}
-
-// EncodeBatchRequestFrame returns a complete batch-request frame. A batch
-// whose total payload exceeds the 32-bit frame length fails with
-// ErrTooLarge (per-item u32 lengths are covered by the same check: an
-// oversized item makes the whole payload oversized).
-func EncodeBatchRequestFrame(reqs []SketchRequest) ([]byte, error) {
-	payload := AppendBatchRequest(nil, reqs)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgBatchRequest, payload)
 }
 
 func appendU32(dst []byte, v uint32) []byte {

@@ -24,56 +24,56 @@ func FuzzWireRoundtrip(f *testing.F) {
 	shapes := testCSCs()
 	for _, a := range shapes {
 		f.Add(mustFrame(MsgCSC, AppendCSC(nil, a)))
-		f.Add(mustFrame(MsgSketchRequest, AppendRequest(nil, 6, core.Options{
+		f.Add(mustFrame(MsgSketchRequest, AppendSketchRequest(nil, []SketchItem{{D: 6, Opts: core.Options{
 			Dist: rng.Rademacher, Source: rng.SourcePhilox, Seed: 11,
-		}, a)))
+		}, A: a}})))
 	}
 	f.Add(mustFrame(MsgDense, AppendDense(nil, dense.NewMatrix(0, 5))))
 	f.Add(mustFrame(MsgDense, AppendDense(nil, dense.NewMatrixFrom(2, 2, []float64{1, -2, 3.5, 0}))))
-	f.Add(mustFrame(MsgSketchResponse, AppendResponse(nil, &SketchResponse{
+	f.Add(mustFrame(MsgSketchResponse, AppendSketchResponse(nil, []SketchResponse{{
 		Status: StatusOK, Stats: core.Stats{Samples: 4, Flops: 8}, Ahat: dense.NewMatrix(2, 3),
-	})))
-	f.Add(mustFrame(MsgSketchResponse, AppendResponse(nil, &SketchResponse{
+	}})))
+	f.Add(mustFrame(MsgSketchResponse, AppendSketchResponse(nil, []SketchResponse{{
 		Status: StatusOverloaded, Detail: "queue full",
-	})))
-	f.Add(mustFrame(MsgBatchRequest, AppendBatchRequest(nil, []SketchRequest{
+	}})))
+	f.Add(mustFrame(MsgSketchRequest, AppendSketchRequest(nil, []SketchItem{
 		{D: 3, A: shapes["degenerate-0xn"]},
 		{D: 2, Opts: core.Options{Dist: rng.Gaussian}, A: shapes["emptycols"]},
 	})))
-	f.Add(mustFrame(MsgBatchResponse, AppendBatchResponse(nil, []SketchResponse{
+	f.Add(mustFrame(MsgSketchResponse, AppendSketchResponse(nil, []SketchResponse{
 		{Status: StatusOK, Ahat: dense.NewMatrix(1, 1)},
 		{Status: StatusClosed},
 	})))
-	f.Add(mustFrame(MsgShardRequest, AppendShardRequest(nil, &ShardRequest{
-		J0: 4, NTotal: 48, SketchRequest: SketchRequest{D: 6, Opts: core.Options{
-			Dist: rng.Gaussian, Seed: 5, BlockD: 3,
-		}, A: shapes["emptycols"]},
-	})))
-	f.Add(mustFrame(MsgShardRequest, AppendShardRequest(nil, &ShardRequest{
-		SketchRequest: SketchRequest{D: 2, A: shapes["degenerate-mx0"]},
-	})))
-	f.Add(mustFrame(MsgShardResponse, AppendShardResponse(nil, &ShardResponse{
+	// Placed items: one column shard of a wider matrix each.
+	f.Add(mustFrame(MsgSketchRequest, AppendSketchRequest(nil, []SketchItem{{
+		D: 6, Opts: core.Options{Dist: rng.Gaussian, Seed: 5, BlockD: 3},
+		A: shapes["emptycols"], Placed: true, J0: 4, NTotal: 68,
+	}})))
+	f.Add(mustFrame(MsgSketchRequest, AppendSketchRequest(nil, []SketchItem{{
+		D: 2, A: shapes["degenerate-mx0"], Placed: true,
+	}})))
+	f.Add(mustFrame(MsgSketchResponse, AppendSketchResponse(nil, []SketchResponse{{
 		Status: StatusOK, J0: 7, Stats: core.Stats{Samples: 9, Flops: 3},
-		Partial: dense.NewMatrixFrom(2, 2, []float64{0.5, -1, 2, 0}),
-	})))
-	f.Add(mustFrame(MsgShardResponse, AppendShardResponse(nil, &ShardResponse{
+		Ahat: dense.NewMatrixFrom(2, 2, []float64{0.5, -1, 2, 0}),
+	}})))
+	f.Add(mustFrame(MsgSketchResponse, AppendSketchResponse(nil, []SketchResponse{{
 		Status: StatusClosed, Detail: "draining",
-	})))
+	}})))
 	// Sparse sketch family: a valid SJLT request (explicit sparsity), a
 	// CountSketch request (default sparsity), and — the rejection seed —
 	// a request whose dist field is one past the last known Distribution,
 	// which must come back ErrMalformed, not decode to a default.
-	f.Add(mustFrame(MsgSketchRequest, AppendRequest(nil, 8, core.Options{
+	f.Add(mustFrame(MsgSketchRequest, AppendSketchRequest(nil, []SketchItem{{D: 8, Opts: core.Options{
 		Dist: rng.SJLT, Sparsity: 3, Seed: 7,
-	}, shapes["emptycols"])))
-	f.Add(mustFrame(MsgSketchRequest, AppendRequest(nil, 5, core.Options{
+	}, A: shapes["emptycols"]}})))
+	f.Add(mustFrame(MsgSketchRequest, AppendSketchRequest(nil, []SketchItem{{D: 5, Opts: core.Options{
 		Dist: rng.CountSketch, Source: rng.SourcePhilox,
-	}, shapes["degenerate-0xn"])))
-	f.Add(mustFrame(MsgSketchRequest, AppendRequest(nil, 4, core.Options{
+	}, A: shapes["degenerate-0xn"]}})))
+	f.Add(mustFrame(MsgSketchRequest, AppendSketchRequest(nil, []SketchItem{{D: 4, Opts: core.Options{
 		Dist: rng.CountSketch + 1,
-	}, shapes["emptycols"])))
-	// Content-addressed (v3) messages: put, info (ok + error forms),
-	// sketch-by-reference, and delta. Degenerate rejection shapes — a
+	}, A: shapes["emptycols"]}})))
+	// Content-addressed messages: put, info (ok + error forms),
+	// by-reference sketch items, and delta. Degenerate rejection shapes — a
 	// truncated fingerprint, a delta with overlapping row indices, and an
 	// oversized declared nnz — are committed corpus seeds under
 	// testdata/fuzz/FuzzWireRoundtrip (see corpus_gen_test.go).
@@ -82,10 +82,10 @@ func FuzzWireRoundtrip(f *testing.F) {
 		f.Add(mustFrame(MsgMatrixDelta, AppendMatrixDelta(nil, &MatrixDelta{
 			Fp: a.Fingerprint(), Delta: a,
 		})))
-		f.Add(mustFrame(MsgSketchRef, AppendSketchRef(nil, &SketchRefRequest{
+		f.Add(mustFrame(MsgSketchRequest, AppendSketchRequest(nil, []SketchItem{{
 			D: 4, Opts: core.Options{Dist: rng.Rademacher, Seed: 3},
-			Fp: a.Fingerprint(),
-		})))
+			ByRef: true, Fp: a.Fingerprint(),
+		}})))
 	}
 	f.Add(mustFrame(MsgMatrixInfo, AppendMatrixInfo(nil, &MatrixInfo{
 		Status: StatusOK, Fp: shapes["emptycols"].Fingerprint(),
@@ -141,24 +141,22 @@ func FuzzWireRoundtrip(f *testing.F) {
 	f.Add(mustFrame(MsgJobStatus, AppendJobStatus(nil, &JobStatus{
 		Status: StatusJobNotFound, Detail: "job expired",
 	})))
-	// Shard batch messages: multi-shard and single-shard batches with
-	// disjoint sorted ranges, and a mixed-outcome response. Rejection
-	// shapes (truncated batch, overlapping j0 ranges, oversized count) are
-	// committed corpus seeds under testdata/fuzz/FuzzWireRoundtrip.
-	f.Add(mustFrame(MsgShardBatchRequest, AppendShardBatchRequest(nil, []ShardRequest{
-		{J0: 0, NTotal: 64, SketchRequest: SketchRequest{D: 4, Opts: core.Options{
-			Dist: rng.Rademacher, Seed: 3,
-		}, A: shapes["emptycols"]}},
-		{J0: 40, NTotal: 64, SketchRequest: SketchRequest{D: 4, Opts: core.Options{
-			Dist: rng.Rademacher, Seed: 3,
-		}, A: shapes["emptycols"]}},
+	// Per-peer shard batches: several placed items with disjoint sorted
+	// ranges, one placed by-reference item, and a mixed-outcome response.
+	// Rejection shapes (truncated batch, overlapping j0 ranges, oversized
+	// count) are committed corpus seeds under testdata/fuzz/FuzzWireRoundtrip.
+	f.Add(mustFrame(MsgSketchRequest, AppendSketchRequest(nil, []SketchItem{
+		{D: 4, Opts: core.Options{Dist: rng.Rademacher, Seed: 3},
+			A: shapes["emptycols"], Placed: true, J0: 0, NTotal: 128},
+		{D: 4, Opts: core.Options{Dist: rng.Rademacher, Seed: 3},
+			A: shapes["emptycols"], Placed: true, J0: 64, NTotal: 128},
 	})))
-	f.Add(mustFrame(MsgShardBatchRequest, AppendShardBatchRequest(nil, []ShardRequest{
-		{J0: 2, NTotal: 9, SketchRequest: SketchRequest{D: 1, A: shapes["degenerate-0xn"]}},
+	f.Add(mustFrame(MsgSketchRequest, AppendSketchRequest(nil, []SketchItem{
+		{D: 1, ByRef: true, Fp: shapes["degenerate-0xn"].Fingerprint(), Placed: true, J0: 2, NTotal: 40},
 	})))
-	f.Add(mustFrame(MsgShardBatchResponse, AppendShardBatchResponse(nil, []ShardResponse{
+	f.Add(mustFrame(MsgSketchResponse, AppendSketchResponse(nil, []SketchResponse{
 		{Status: StatusOK, J0: 5, Stats: core.Stats{Samples: 2, Flops: 6},
-			Partial: dense.NewMatrixFrom(2, 1, []float64{-0.5, 4})},
+			Ahat: dense.NewMatrixFrom(2, 1, []float64{-0.5, 4})},
 		{Status: StatusOverloaded, Detail: "queue full"},
 	})))
 
@@ -182,39 +180,15 @@ func FuzzWireRoundtrip(f *testing.F) {
 				}
 			}
 		case MsgSketchRequest:
-			if req, err := DecodeRequest(payload); err == nil {
-				if !bytes.Equal(AppendRequest(nil, req.D, req.Opts, req.A), payload) {
-					t.Fatal("request re-encode differs from accepted payload")
+			if items, err := DecodeSketchRequest(payload); err == nil {
+				if !bytes.Equal(AppendSketchRequest(nil, items), payload) {
+					t.Fatal("sketch request re-encode differs from accepted payload")
 				}
 			}
 		case MsgSketchResponse:
-			if resp, err := DecodeResponse(payload); err == nil {
-				if !bytes.Equal(AppendResponse(nil, resp), payload) {
-					t.Fatal("response re-encode differs from accepted payload")
-				}
-			}
-		case MsgBatchRequest:
-			if reqs, err := DecodeBatchRequest(payload); err == nil {
-				if !bytes.Equal(AppendBatchRequest(nil, reqs), payload) {
-					t.Fatal("batch request re-encode differs from accepted payload")
-				}
-			}
-		case MsgBatchResponse:
-			if rs, err := DecodeBatchResponse(payload); err == nil {
-				if !bytes.Equal(AppendBatchResponse(nil, rs), payload) {
-					t.Fatal("batch response re-encode differs from accepted payload")
-				}
-			}
-		case MsgShardRequest:
-			if req, err := DecodeShardRequest(payload); err == nil {
-				if !bytes.Equal(AppendShardRequest(nil, req), payload) {
-					t.Fatal("shard request re-encode differs from accepted payload")
-				}
-			}
-		case MsgShardResponse:
-			if resp, err := DecodeShardResponse(payload); err == nil {
-				if !bytes.Equal(AppendShardResponse(nil, resp), payload) {
-					t.Fatal("shard response re-encode differs from accepted payload")
+			if rs, err := DecodeSketchResponse(payload); err == nil {
+				if !bytes.Equal(AppendSketchResponse(nil, rs), payload) {
+					t.Fatal("sketch response re-encode differs from accepted payload")
 				}
 			}
 		case MsgMatrixPut:
@@ -227,12 +201,6 @@ func FuzzWireRoundtrip(f *testing.F) {
 			if info, err := DecodeMatrixInfo(payload); err == nil {
 				if !bytes.Equal(AppendMatrixInfo(nil, info), payload) {
 					t.Fatal("matrix-info re-encode differs from accepted payload")
-				}
-			}
-		case MsgSketchRef:
-			if req, err := DecodeSketchRef(payload); err == nil {
-				if !bytes.Equal(AppendSketchRef(nil, req), payload) {
-					t.Fatal("sketch-ref re-encode differs from accepted payload")
 				}
 			}
 		case MsgMatrixDelta:
@@ -257,18 +225,6 @@ func FuzzWireRoundtrip(f *testing.F) {
 			if js, err := DecodeJobStatus(payload); err == nil {
 				if !bytes.Equal(AppendJobStatus(nil, js), payload) {
 					t.Fatal("job status re-encode differs from accepted payload")
-				}
-			}
-		case MsgShardBatchRequest:
-			if reqs, err := DecodeShardBatchRequest(payload); err == nil {
-				if !bytes.Equal(AppendShardBatchRequest(nil, reqs), payload) {
-					t.Fatal("shard batch request re-encode differs from accepted payload")
-				}
-			}
-		case MsgShardBatchResponse:
-			if rs, err := DecodeShardBatchResponse(payload); err == nil {
-				if !bytes.Equal(AppendShardBatchResponse(nil, rs), payload) {
-					t.Fatal("shard batch response re-encode differs from accepted payload")
 				}
 			}
 		}

@@ -2,20 +2,18 @@ package wire
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
-	"sketchsp/internal/core"
 	"sketchsp/internal/sparse"
 )
 
 // By-reference messages (version 3): the content-addressed leg of the
 // protocol. A client uploads a matrix once (MsgMatrixPut), then asks for
-// sketches by the 32-byte fingerprint (MsgSketchRef) — repeat traffic drops
-// from O(nnz(A)) to O(1) bytes per request — and streams updates as sparse
-// deltas (MsgMatrixDelta) that the server folds into stored state by
-// linearity, Â(A+ΔA) = Â(A) + S·ΔA.
+// sketches by the 32-byte fingerprint (a by-reference MsgSketchRequest
+// item, sketch.go) — repeat traffic drops from O(nnz(A)) to O(1) bytes per
+// request — and streams updates as sparse deltas (MsgMatrixDelta) that the
+// server folds into stored state by linearity, Â(A+ΔA) = Â(A) + S·ΔA.
 //
 // Payload layouts:
 //
@@ -26,30 +24,9 @@ import (
 //	                                      u64 hash | i64 bytes | u8 created
 //	                 status != StatusOK:  u32 detailLen | detail bytes
 //
-//	MsgSketchRef:    request fixed prefix (d, seed, options, flags — byte-
-//	                 identical to MsgSketchRequest's) | u64 m | u64 n |
-//	                 u64 nnz | u64 hash   (exact length; answered with
-//	                 MsgSketchResponse)
-//
 //	MsgMatrixDelta:  u64 m | u64 n | u64 nnz | u64 hash (the BASE matrix's
 //	                 fingerprint) | CSC payload of ΔA (same shape as the
 //	                 base; answered with MsgMatrixInfo for A+ΔA)
-//
-// The error form of MsgMatrixInfo matches MsgSketchResponse's exactly, so
-// server-side failures emitted before the frame type is known still decode
-// on every path.
-
-// fingerprintWireSize is the encoded size of a sparse.Fingerprint:
-// m, n, nnz, hash as four u64 words.
-const fingerprintWireSize = 4 * 8
-
-// SketchRefRequest is the decoded form of a MsgSketchRef payload: a sketch
-// request whose matrix is named by fingerprint instead of embedded.
-type SketchRefRequest struct {
-	D    int
-	Opts core.Options
-	Fp   sparse.Fingerprint
-}
 
 // MatrixInfo is the decoded form of a MsgMatrixInfo payload: the outcome of
 // a matrix put or delta. A non-OK Status carries only Detail; StatusOK
@@ -171,48 +148,6 @@ func DecodeMatrixInfo(payload []byte) (*MatrixInfo, error) {
 	return r, nil
 }
 
-// AppendSketchRef appends a sketch-by-reference payload to dst: the same
-// fixed (d, options) prefix as AppendRequest, then the fingerprint in place
-// of the matrix.
-func AppendSketchRef(dst []byte, r *SketchRefRequest) []byte {
-	dst = appendU64(dst, uint64(r.D))
-	dst = appendU64(dst, r.Opts.Seed)
-	dst = appendU64(dst, uint64(int64(r.Opts.Algorithm)))
-	dst = appendU64(dst, uint64(int64(r.Opts.Dist)))
-	dst = appendU64(dst, uint64(int64(r.Opts.Source)))
-	dst = appendU64(dst, uint64(int64(r.Opts.BlockD)))
-	dst = appendU64(dst, uint64(int64(r.Opts.BlockN)))
-	dst = appendU64(dst, uint64(int64(r.Opts.Workers)))
-	dst = appendU64(dst, uint64(int64(r.Opts.Sched)))
-	dst = appendU64(dst, uint64(int64(r.Opts.Sparsity)))
-	dst = appendU64(dst, math.Float64bits(r.Opts.RNGCost))
-	var flags byte
-	if r.Opts.Timed {
-		flags |= 1
-	}
-	if r.Opts.TuneBlockN {
-		flags |= 2
-	}
-	dst = append(dst, flags)
-	return appendFingerprint(dst, r.Fp)
-}
-
-// DecodeSketchRef decodes a sketch-by-reference payload.
-func DecodeSketchRef(payload []byte) (*SketchRefRequest, error) {
-	if len(payload) != requestFixedSize+fingerprintWireSize {
-		return nil, fmt.Errorf("%w: sketch-ref payload %d bytes, want %d", ErrMalformed, len(payload), requestFixedSize+fingerprintWireSize)
-	}
-	d, opts, err := decodeRequestFixed(payload)
-	if err != nil {
-		return nil, err
-	}
-	fp, err := decodeFingerprint(payload[requestFixedSize:])
-	if err != nil {
-		return nil, err
-	}
-	return &SketchRefRequest{D: d, Opts: opts, Fp: fp}, nil
-}
-
 // AppendMatrixDelta appends r's matrix-delta payload to dst.
 func AppendMatrixDelta(dst []byte, r *MatrixDelta) []byte {
 	dst = appendFingerprint(dst, r.Fp)
@@ -245,19 +180,6 @@ func DecodeMatrixDelta(payload []byte) (*MatrixDelta, error) {
 func EncodeMatrixPutFrame(a *sparse.CSC) ([]byte, error) {
 	payload := AppendMatrixPut(make([]byte, 0, cscPayloadSize(a)), a)
 	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgMatrixPut, payload)
-}
-
-// SketchRefWireSize is the size of a complete sketch-by-reference frame:
-// header + fixed request prefix + fingerprint, independent of nnz(A). The
-// coordinator's traffic accounting and the bench replay both quote it.
-const SketchRefWireSize = HeaderSize + requestFixedSize + fingerprintWireSize
-
-// EncodeSketchRefFrame returns a complete sketch-by-reference frame — the
-// whole request is SketchRefWireSize bytes regardless of the matrix size,
-// which is the entire point of the by-reference protocol.
-func EncodeSketchRefFrame(r *SketchRefRequest) ([]byte, error) {
-	payload := AppendSketchRef(make([]byte, 0, requestFixedSize+fingerprintWireSize), r)
-	return AppendFrame(make([]byte, 0, HeaderSize+len(payload)), MsgSketchRef, payload)
 }
 
 // EncodeMatrixDeltaFrame returns a complete matrix-delta frame.

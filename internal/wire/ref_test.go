@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"sketchsp/internal/core"
-	"sketchsp/internal/rng"
 	"sketchsp/internal/sparse"
 	"sketchsp/internal/store"
 )
@@ -68,43 +66,6 @@ func TestMatrixInfoRejectsBadCreatedFlag(t *testing.T) {
 	}
 }
 
-func TestSketchRefRoundtrip(t *testing.T) {
-	r := SketchRefRequest{
-		D: 16,
-		Opts: core.Options{
-			Seed: 99, Dist: rng.SJLT, Source: rng.SourcePhilox,
-			Sparsity: 4, BlockD: 8, Workers: 3, Timed: true,
-		},
-		Fp: sparse.Fingerprint{M: 4096, N: 512, NNZ: 81920, Hash: 0x1234567890abcdef},
-	}
-	payload := AppendSketchRef(nil, &r)
-	if len(payload) != requestFixedSize+fingerprintWireSize {
-		t.Fatalf("sketch-ref payload %d bytes, want %d (O(1) by construction)",
-			len(payload), requestFixedSize+fingerprintWireSize)
-	}
-	got, err := DecodeSketchRef(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != r {
-		t.Fatalf("roundtrip %+v != %+v", *got, r)
-	}
-	if !bytes.Equal(AppendSketchRef(nil, got), payload) {
-		t.Fatal("sketch-ref re-encode differs")
-	}
-	// Truncated fingerprint: exact length is enforced.
-	if _, err := DecodeSketchRef(payload[:len(payload)-1]); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("truncated sketch-ref must be ErrMalformed, got %v", err)
-	}
-	// Domain guards run on the shared prefix: an out-of-domain distribution
-	// is rejected exactly like an inline request's.
-	bad := r
-	bad.Opts.Dist = rng.CountSketch + 1
-	if _, err := DecodeSketchRef(AppendSketchRef(nil, &bad)); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("out-of-domain dist must be ErrMalformed, got %v", err)
-	}
-}
-
 func TestMatrixDeltaRoundtrip(t *testing.T) {
 	delta := refTestMatrix(t)
 	base := sparse.Fingerprint{M: delta.M, N: delta.N, NNZ: 3, Hash: 77}
@@ -139,12 +100,12 @@ func TestStatusNotFoundTaxonomy(t *testing.T) {
 		t.Fatal("StatusNotFound must not be blindly retryable (the cure is an upload, not a resend)")
 	}
 	// The not-found error form survives a response roundtrip.
-	payload := AppendResponse(nil, &SketchResponse{Status: StatusNotFound, Detail: "x"})
-	resp, derr := DecodeResponse(payload)
+	payload := AppendSketchResponse(nil, []SketchResponse{{Status: StatusNotFound, Detail: "x"}})
+	rs, derr := DecodeSketchResponse(payload)
 	if derr != nil {
 		t.Fatal(derr)
 	}
-	if !errors.Is(resp.Err(), store.ErrNotFound) {
+	if !errors.Is(rs[0].Err(), store.ErrNotFound) {
 		t.Fatal("decoded not-found response must unwrap to store.ErrNotFound")
 	}
 }

@@ -173,7 +173,7 @@ func AppendSolveRequest(dst []byte, r *SolveRequest) []byte {
 	dst = appendU64(dst, uint64(r.Rank))
 	dst = appendU64(dst, uint64(r.Oversample))
 	dst = appendU64(dst, uint64(r.PowerIters))
-	dst = appendSketchOpts(dst, r.Opts)
+	dst = appendSketchOpts(dst, r.Opts, 0)
 	dst = appendU64(dst, uint64(len(r.B)))
 	for _, v := range r.B {
 		dst = appendU64(dst, math.Float64bits(v))
@@ -222,7 +222,7 @@ func DecodeSolveRequest(payload []byte) (*SolveRequest, error) {
 	r.Rank = int(rank)
 	r.Oversample = int(oversample)
 	r.PowerIters = int(powerIters)
-	opts, err := decodeSketchOpts(payload[58:])
+	opts, _, err := decodeSketchOpts(payload[58:], 0)
 	if err != nil {
 		return nil, err
 	}

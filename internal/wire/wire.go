@@ -12,12 +12,14 @@
 //
 //	offset  size  field
 //	0       3     magic "SKW"
-//	3       1     version (currently 4)
+//	3       1     version (currently 5)
 //	4       1     message type (MsgType)
-//	5       1     flags (must be 0 in version 4)
-//	6       2     reserved (must be 0)
+//	5       3     reserved (must be 0)
 //	8       4     payload length (uint32)
 //	12      ...   payload
+//
+// The fleet runs one version: a frame of any other version is rejected as
+// malformed, never misparsed, and there is no negotiation or fallback.
 //
 // # Payload layouts
 //
@@ -30,48 +32,32 @@
 //
 //	u64 rows | u64 cols | rows·cols×u64 column-major values (IEEE-754 bits)
 //
-// Sketch request (MsgSketchRequest):
+// Options block (embedded in sketch and solve requests):
 //
-//	u64 d | u64 seed | i64 algorithm | i64 dist | i64 source |
-//	i64 blockD | i64 blockN | i64 workers | i64 sched | i64 sparsity |
-//	f64 rngCost | u8 flags (bit0 Timed, bit1 TuneBlockN) |
-//	CSC payload (to end of frame)
+//	u64 seed | i64 algorithm | i64 dist | i64 source | i64 blockD |
+//	i64 blockN | i64 workers | i64 sched | i64 sparsity | f64 rngCost |
+//	u8 flags (bit0 Timed, bit1 TuneBlockN; sketch items add bit2 by-ref
+//	and bit3 placed)
 //
-// (version 2 inserted the sparse-sketch-family i64 sparsity field after
-// sched; version-1 frames are rejected by the version check, never
-// misparsed.)
+// Sketch request and response (MsgSketchRequest / MsgSketchResponse,
+// sketch.go): one count-prefixed list of items covers a single sketch, a
+// batch, a column shard, a per-peer batch of shards, and a sketch of a
+// stored matrix by fingerprint. Each request item is d, the options block,
+// an optional (j0, nTotal) placement, and the matrix — inline CSC or
+// fingerprint; each response item is a status, the j0 echo, the execute
+// stats and Â.
 //
-// Sketch response (MsgSketchResponse):
+// By-reference messages (ref.go): MsgMatrixPut uploads a CSC into the
+// server's content-addressed store, MsgMatrixDelta applies a sparse ΔA to
+// a stored matrix, and MsgMatrixInfo answers both with the (possibly new)
+// stored identity.
 //
-//	u8 status
-//	status == StatusOK:  i64 samples | i64 flops | i64 sampleNS |
-//	                     i64 convertNS | i64 totalNS | i64 steals |
-//	                     f64 imbalance | dense payload (to end of frame)
-//	status != StatusOK:  u32 detailLen | detailLen bytes of UTF-8 detail
-//
-// Batch request/response (MsgBatchRequest / MsgBatchResponse):
-//
-//	u32 count | count × (u32 len | single request/response payload)
-//
-// By-reference messages (version 3, ref.go): MsgMatrixPut uploads a CSC
-// into the server's content-addressed store, MsgSketchRef asks for a sketch
-// by 32-byte fingerprint instead of shipping the matrix, MsgMatrixDelta
-// applies a sparse ΔA to a stored matrix, and MsgMatrixInfo answers the put
-// and delta messages with the (possibly new) stored identity.
-//
-// Solve messages (version 4, solve.go): MsgSolveRequest carries a
-// least-squares / RandSVD solve (method, gamma/tolerance/rank options, RHS
-// vector, and either an inline CSC or a stored fingerprint),
-// MsgSolveResponse answers with the solution vector or low-rank factors
-// plus the solver's Info measurements, and MsgJobStatus reports an async
-// job's lifecycle state, progress, and — once terminal — its embedded
-// result.
-//
-// Shard batch messages (shardbatch.go): MsgShardBatchRequest groups
-// several column shards bound for one worker into a single frame (the
-// coordinator's per-peer fan-out), answered index-aligned by
-// MsgShardBatchResponse. The pair rides version 4 unchanged — no existing
-// layout or status moved.
+// Solve messages (solve.go): MsgSolveRequest carries a least-squares /
+// RandSVD solve (method, gamma/tolerance/rank options, RHS vector, and
+// either an inline CSC or a stored fingerprint), MsgSolveResponse answers
+// with the solution vector or low-rank factors plus the solver's Info
+// measurements, and MsgJobStatus reports an async job's lifecycle state,
+// progress, and — once terminal — its embedded result.
 //
 // # Error taxonomy
 //
@@ -100,11 +86,12 @@ import (
 
 // Version is the frame format version this package encodes and accepts.
 // Version 2 added the request sparsity field (sparse sketch family);
-// version 3 added the by-reference messages (matrix put / sketch-by-ref /
-// delta) and StatusNotFound; version 4 added the solve messages
-// (solve-request / solve-response / job-status) and StatusJobNotFound.
-// Old frames are rejected by the version check, never misparsed.
-const Version = 4
+// version 3 added the by-reference messages and StatusNotFound; version 4
+// added the solve messages and StatusJobNotFound; version 5 folded the
+// single, batch, shard, shard-batch and by-reference sketch messages into
+// one request and one response. Frames of any other version are rejected
+// by the version check, never misparsed.
+const Version = 5
 
 // HeaderSize is the fixed frame-header length preceding every payload.
 const HeaderSize = 12
@@ -124,34 +111,20 @@ const MaxFramePayload = 1<<32 - 1
 // MsgType tags what a frame's payload contains.
 type MsgType uint8
 
+// Message types 1–4, 7, 8, 11, 16 and 17 belong to the sketch messages of
+// versions 1–4 (single, batch, shard, by-reference and shard-batch) and
+// stay unassigned.
 const (
-	// MsgSketchRequest is a single sketch request (d, options, CSC input).
-	MsgSketchRequest MsgType = 1
-	// MsgSketchResponse is the outcome of a single request.
-	MsgSketchResponse MsgType = 2
-	// MsgBatchRequest is a count-prefixed sequence of sketch requests.
-	MsgBatchRequest MsgType = 3
-	// MsgBatchResponse is the index-aligned sequence of responses.
-	MsgBatchResponse MsgType = 4
 	// MsgCSC is a standalone sparse matrix (tools and tests).
 	MsgCSC MsgType = 5
 	// MsgDense is a standalone dense matrix (tools and tests).
 	MsgDense MsgType = 6
-	// MsgShardRequest is a coordinator→worker request for one column shard
-	// of a larger sketch (shard.go).
-	MsgShardRequest MsgType = 7
-	// MsgShardResponse is the partial sketch of one column shard.
-	MsgShardResponse MsgType = 8
 	// MsgMatrixPut uploads a CSC matrix into the server's content-addressed
 	// store (PUT /v1/matrix); answered with MsgMatrixInfo.
 	MsgMatrixPut MsgType = 9
 	// MsgMatrixInfo is the outcome of a matrix put or delta: the stored
 	// identity (fingerprint, bytes, created flag) or an error status.
 	MsgMatrixInfo MsgType = 10
-	// MsgSketchRef is a sketch request that names its matrix by fingerprint
-	// instead of embedding it; answered with MsgSketchResponse
-	// (StatusNotFound when the matrix is not resident).
-	MsgSketchRef MsgType = 11
 	// MsgMatrixDelta applies a sparse delta ΔA to the stored matrix named
 	// by its fingerprint (PATCH /v1/matrix/{fp}); answered with
 	// MsgMatrixInfo carrying the post-update identity.
@@ -167,33 +140,24 @@ const (
 	// 202 Accepted answer of POST /v1/solve): lifecycle state, iteration
 	// progress, and the embedded solve result once terminal.
 	MsgJobStatus MsgType = 15
+	// MsgSketchRequest is a list of sketch items (POST /v1/sketch,
+	// sketch.go); answered with MsgSketchResponse.
+	MsgSketchRequest MsgType = 18
+	// MsgSketchResponse is the index-aligned list of item outcomes.
+	MsgSketchResponse MsgType = 19
 )
 
 // String implements fmt.Stringer for MsgType.
 func (t MsgType) String() string {
 	switch t {
-	case MsgSketchRequest:
-		return "sketch-request"
-	case MsgSketchResponse:
-		return "sketch-response"
-	case MsgBatchRequest:
-		return "batch-request"
-	case MsgBatchResponse:
-		return "batch-response"
 	case MsgCSC:
 		return "csc"
 	case MsgDense:
 		return "dense"
-	case MsgShardRequest:
-		return "shard-request"
-	case MsgShardResponse:
-		return "shard-response"
 	case MsgMatrixPut:
 		return "matrix-put"
 	case MsgMatrixInfo:
 		return "matrix-info"
-	case MsgSketchRef:
-		return "sketch-ref"
 	case MsgMatrixDelta:
 		return "matrix-delta"
 	case MsgSolveRequest:
@@ -202,10 +166,10 @@ func (t MsgType) String() string {
 		return "solve-response"
 	case MsgJobStatus:
 		return "job-status"
-	case MsgShardBatchRequest:
-		return "shard-batch-request"
-	case MsgShardBatchResponse:
-		return "shard-batch-response"
+	case MsgSketchRequest:
+		return "sketch-request"
+	case MsgSketchResponse:
+		return "sketch-response"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"sketchsp/internal/core"
 	"sketchsp/internal/dense"
@@ -120,101 +119,6 @@ func TestDenseRoundtrip(t *testing.T) {
 	}
 }
 
-func TestRequestRoundtrip(t *testing.T) {
-	optsList := []core.Options{
-		{},
-		{Algorithm: core.AlgAuto, Dist: rng.Gaussian, Source: rng.SourcePhilox,
-			Seed: 42, BlockD: 128, BlockN: 33, Workers: 4, Timed: true,
-			RNGCost: 2.5, TuneBlockN: true, Sched: core.SchedUniform},
-		{Algorithm: core.Alg4, Dist: rng.ScaledInt, Seed: ^uint64(0), Sched: core.SchedNoSteal},
-		{Dist: rng.SJLT, Sparsity: 9, Seed: 3},
-		{Algorithm: core.Alg3, Dist: rng.CountSketch, Source: rng.SourcePhilox, Workers: 2},
-	}
-	for name, a := range testCSCs() {
-		for i, opts := range optsList {
-			payload := AppendRequest(nil, 17, opts, a)
-			req, err := DecodeRequest(payload)
-			if err != nil {
-				t.Fatalf("%s/opts%d: decode: %v", name, i, err)
-			}
-			if req.D != 17 || req.Opts != opts {
-				t.Fatalf("%s/opts%d: decoded (%d, %+v)", name, i, req.D, req.Opts)
-			}
-			if !bytes.Equal(AppendRequest(nil, req.D, req.Opts, req.A), payload) {
-				t.Fatalf("%s/opts%d: re-encode differs", name, i)
-			}
-		}
-	}
-}
-
-func TestResponseRoundtrip(t *testing.T) {
-	ahat := dense.NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	rs := []SketchResponse{
-		{Status: StatusOK,
-			Stats: core.Stats{Samples: 100, Flops: 2400, SampleTime: time.Millisecond,
-				ConvertTime: 2 * time.Millisecond, Total: 5 * time.Millisecond,
-				Steals: 3, Imbalance: 1.25},
-			Ahat: ahat},
-		{Status: StatusOK, Ahat: dense.NewMatrix(0, 0)},
-		{Status: StatusOverloaded, Detail: "admission queue full"},
-		{Status: StatusInvalidMatrix, Detail: ""},
-		{Status: StatusInternal, Detail: "boom"},
-	}
-	for i := range rs {
-		payload := AppendResponse(nil, &rs[i])
-		got, err := DecodeResponse(payload)
-		if err != nil {
-			t.Fatalf("resp %d: decode: %v", i, err)
-		}
-		if got.Status != rs[i].Status || got.Detail != rs[i].Detail {
-			t.Fatalf("resp %d: got %+v", i, got)
-		}
-		if got.Stats.Samples != rs[i].Stats.Samples || got.Stats.Total != rs[i].Stats.Total ||
-			got.Stats.Imbalance != rs[i].Stats.Imbalance || got.Stats.Steals != rs[i].Stats.Steals {
-			t.Fatalf("resp %d: stats %+v", i, got.Stats)
-		}
-		if !bytes.Equal(AppendResponse(nil, got), payload) {
-			t.Fatalf("resp %d: re-encode differs", i)
-		}
-	}
-}
-
-func TestBatchRoundtrip(t *testing.T) {
-	shapes := testCSCs()
-	reqs := []SketchRequest{
-		{D: 8, A: shapes["uniform-200x40"]},
-		{D: 4, Opts: core.Options{Dist: rng.Rademacher, Seed: 9}, A: shapes["degenerate-0xn"]},
-		{D: 1, A: shapes["degenerate-mx0"]},
-	}
-	payload := AppendBatchRequest(nil, reqs)
-	got, err := DecodeBatchRequest(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(reqs) {
-		t.Fatalf("got %d requests", len(got))
-	}
-	if !bytes.Equal(AppendBatchRequest(nil, got), payload) {
-		t.Fatal("batch request re-encode differs")
-	}
-
-	rs := []SketchResponse{
-		{Status: StatusOK, Stats: core.Stats{Flops: 2}, Ahat: dense.NewMatrix(2, 2)},
-		{Status: StatusOverloaded, Detail: "later"},
-	}
-	bp := AppendBatchResponse(nil, rs)
-	gotR, err := DecodeBatchResponse(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotR) != 2 || gotR[1].Status != StatusOverloaded {
-		t.Fatalf("batch responses %+v", gotR)
-	}
-	if !bytes.Equal(AppendBatchResponse(nil, gotR), bp) {
-		t.Fatal("batch response re-encode differs")
-	}
-}
-
 func TestFrameIO(t *testing.T) {
 	payload := AppendCSC(nil, testCSCs()["uniform-200x40"])
 	var buf bytes.Buffer
@@ -282,43 +186,6 @@ func TestEncodeRejectsOversizedPayload(t *testing.T) {
 	}
 }
 
-// TestPeekStatusAndSplitBatchPayload pins the cheap classification path the
-// client's retry loop uses: status bytes are readable without decoding any
-// matrix, for single and per-batch-item payloads alike.
-func TestPeekStatusAndSplitBatchPayload(t *testing.T) {
-	ok := AppendResponse(nil, &SketchResponse{Status: StatusOK, Ahat: dense.NewMatrix(1, 2)})
-	if st, err := PeekStatus(ok); err != nil || st != StatusOK {
-		t.Errorf("PeekStatus(ok) = %v, %v", st, err)
-	}
-	shed := AppendResponse(nil, &SketchResponse{Status: StatusOverloaded, Detail: "later"})
-	if st, err := PeekStatus(shed); err != nil || st != StatusOverloaded {
-		t.Errorf("PeekStatus(shed) = %v, %v", st, err)
-	}
-	if _, err := PeekStatus(nil); !errors.Is(err, ErrMalformed) {
-		t.Errorf("PeekStatus(empty): err = %v, want ErrMalformed", err)
-	}
-	if _, err := PeekStatus([]byte{255}); !errors.Is(err, ErrMalformed) {
-		t.Errorf("PeekStatus(unknown status): err = %v, want ErrMalformed", err)
-	}
-
-	bp := AppendBatchResponse(nil, []SketchResponse{
-		{Status: StatusOverloaded, Detail: "shed"},
-		{Status: StatusOK, Ahat: dense.NewMatrix(1, 1)},
-	})
-	items, err := SplitBatchPayload(bp)
-	if err != nil || len(items) != 2 {
-		t.Fatalf("SplitBatchPayload: %d items, err = %v", len(items), err)
-	}
-	for i, want := range []Status{StatusOverloaded, StatusOK} {
-		if st, err := PeekStatus(items[i]); err != nil || st != want {
-			t.Errorf("item %d status = %v, %v; want %v", i, st, err, want)
-		}
-	}
-	if _, err := SplitBatchPayload(bp[:3]); !errors.Is(err, ErrMalformed) {
-		t.Errorf("truncated batch: err = %v, want ErrMalformed", err)
-	}
-}
-
 func TestDecodeRejectsBrokenPayloads(t *testing.T) {
 	a := testCSCs()["uniform-200x40"]
 	base := AppendCSC(nil, a)
@@ -347,40 +214,46 @@ func TestDecodeRejectsBrokenPayloads(t *testing.T) {
 			t.Errorf("unsorted rows: %v", err)
 		}
 	}
-	// Out-of-domain request enums.
-	req := AppendRequest(nil, 8, core.Options{}, a)
-	for _, off := range []int{16, 24, 32, 64} { // algorithm, dist, source, sched
+	// Out-of-domain request enums. Item offsets sit after the u32 count.
+	req := AppendSketchRequest(nil, []SketchItem{{D: 8, A: a}})
+	for _, off := range []int{4 + 16, 4 + 24, 4 + 32, 4 + 64} { // algorithm, dist, source, sched
 		mut := append([]byte{}, req...)
 		putU64(mut[off:], uint64(int64(99)))
-		if _, err := DecodeRequest(mut); !errors.Is(err, ErrMalformed) {
+		if _, err := DecodeSketchRequest(mut); !errors.Is(err, ErrMalformed) {
 			t.Errorf("enum at offset %d: %v", off, err)
 		}
 	}
 	// Distribution one past the last member of the sparse family must be
 	// rejected as malformed, never fall back to a default distribution.
 	distMut := append([]byte{}, req...)
-	putU64(distMut[24:], uint64(int64(rng.CountSketch)+1))
-	if _, err := DecodeRequest(distMut); !errors.Is(err, ErrMalformed) {
+	putU64(distMut[4+24:], uint64(int64(rng.CountSketch)+1))
+	if _, err := DecodeSketchRequest(distMut); !errors.Is(err, ErrMalformed) {
 		t.Errorf("dist past CountSketch: %v", err)
 	}
 	// ... while every in-domain distribution decodes.
 	for d := rng.Uniform11; d <= rng.CountSketch; d++ {
 		ok := append([]byte{}, req...)
-		putU64(ok[24:], uint64(int64(d)))
-		if _, err := DecodeRequest(ok); err != nil {
+		putU64(ok[4+24:], uint64(int64(d)))
+		if _, err := DecodeSketchRequest(ok); err != nil {
 			t.Errorf("dist %v rejected: %v", d, err)
 		}
 	}
 	// Negative or absurd sparsity is out of domain.
 	for _, sp := range []int64{-1, int64(MaxDim) + 1} {
 		mut := append([]byte{}, req...)
-		putU64(mut[72:], uint64(sp))
-		if _, err := DecodeRequest(mut); !errors.Is(err, ErrMalformed) {
+		putU64(mut[4+72:], uint64(sp))
+		if _, err := DecodeSketchRequest(mut); !errors.Is(err, ErrMalformed) {
 			t.Errorf("sparsity %d: %v", sp, err)
 		}
 	}
+	// Flag bits past the four defined ones are rejected.
+	flagMut := append([]byte{}, req...)
+	flagMut[4+requestFixedSize-1] |= 16
+	if _, err := DecodeSketchRequest(flagMut); !errors.Is(err, ErrMalformed) {
+		t.Errorf("unknown item flag: %v", err)
+	}
 	// Unknown response status.
-	if _, err := DecodeResponse([]byte{200, 0, 0, 0, 0}); !errors.Is(err, ErrMalformed) {
+	if _, err := DecodeSketchResponse([]byte{1, 0, 0, 0, 200, 0, 0, 0, 0}); !errors.Is(err, ErrMalformed) {
 		t.Error("unknown status accepted")
 	}
 }
