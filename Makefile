@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci build test vet race bench bench-json fuzz-smoke test-shard-faults check-run-patterns
+.PHONY: ci build test vet race bench bench-json fuzz-smoke test-shard-faults check-run-patterns sample-breakdown
 
-ci: vet check-run-patterns test race test-shard-faults fuzz-smoke
+ci: vet check-run-patterns test race test-shard-faults fuzz-smoke sample-breakdown
 
 build:
 	$(GO) build ./...
@@ -33,9 +33,9 @@ race:
 	$(GO) test -race -count=2 ./internal/store/...
 	$(GO) test -race -count=2 ./internal/jobs/...
 
-# `go test -run X` passes when X matches no test, so every -run pattern in
-# this Makefile and in .github/workflows/ci.yml must still name a test —
-# a renamed test must not turn a gate into a silent no-op.
+# `go test -run X` passes when X matches no test, so every -run and -bench
+# pattern in this Makefile and in .github/workflows/ci.yml must still name a
+# test or benchmark — a rename must not turn a gate into a silent no-op.
 check-run-patterns:
 	GO=$(GO) bash scripts/check-run-patterns.sh
 
@@ -54,6 +54,11 @@ test-shard-faults:
 fuzz-smoke:
 	$(GO) test ./internal/wire -run FuzzWireRoundtrip -fuzz FuzzWireRoundtrip -fuzztime 5s
 	$(GO) test ./internal/server -run FuzzSketchHandler -fuzz FuzzSketchHandler -fuzztime 5s
+
+# Tables III and V once: every execute reports its sampled generation
+# time, and the benchmark fails if a sample share falls outside (0, 1].
+sample-breakdown:
+	$(GO) test -run - -bench BenchmarkSampleBreakdown -benchtime 1x .
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

@@ -93,27 +93,31 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3SampleBreakdown times the instrumented kernels
-// (Frontera-config blocking b_n = 500).
-func BenchmarkTable3SampleBreakdown(b *testing.B) {
+// BenchmarkSampleBreakdown is Tables III and V: the sampled share of
+// kernel time under the Frontera (b_n = 500) and Perlmutter (b_n = 1200)
+// blockings. Every execute reports its sample time, so the breakdown runs
+// the production kernels; a share outside (0, 1] fails the benchmark.
+func BenchmarkSampleBreakdown(b *testing.B) {
 	a, d := benchMatrix(b)
 	out := dense.NewMatrix(d, a.N)
-	for _, alg := range []core.Algorithm{core.Alg3, core.Alg4} {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			sk := newSketcher(b, d, core.Options{
-				Algorithm: alg, Seed: 1, Workers: 1, Timed: true, BlockN: 500,
+	for _, bn := range []int{500, 1200} {
+		for _, alg := range []core.Algorithm{core.Alg3, core.Alg4} {
+			bn, alg := bn, alg
+			b.Run(fmt.Sprintf("bn%d/%s", bn, alg), func(b *testing.B) {
+				sk := newSketcher(b, d, core.Options{Algorithm: alg, Seed: 1, Workers: 1, BlockN: bn})
+				var sample, total float64
+				for i := 0; i < b.N; i++ {
+					st := sk.SketchInto(out, a)
+					sample += st.SampleTime.Seconds()
+					total += st.Total.Seconds()
+				}
+				frac := sample / total
+				if !(frac > 0 && frac <= 1) {
+					b.Fatalf("sample-frac %v outside (0, 1]", frac)
+				}
+				b.ReportMetric(frac, "sample-frac")
 			})
-			var sample, total float64
-			for i := 0; i < b.N; i++ {
-				st := sk.SketchInto(out, a)
-				sample += st.SampleTime.Seconds()
-				total += st.Total.Seconds()
-			}
-			if total > 0 {
-				b.ReportMetric(sample/total, "sample-frac")
-			}
-		})
+		}
 	}
 }
 
@@ -141,24 +145,6 @@ func BenchmarkTable4Alg4(b *testing.B) {
 			sparse.NewBlockedCSR(a, 300)
 		}
 	})
-}
-
-// BenchmarkTable5SampleBreakdown is Table III's twin with the wide-slab
-// (Perlmutter) blocking.
-func BenchmarkTable5SampleBreakdown(b *testing.B) {
-	a, d := benchMatrix(b)
-	out := dense.NewMatrix(d, a.N)
-	for _, alg := range []core.Algorithm{core.Alg3, core.Alg4} {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			sk := newSketcher(b, d, core.Options{
-				Algorithm: alg, Seed: 1, Workers: 1, Timed: true, BlockN: 1200,
-			})
-			for i := 0; i < b.N; i++ {
-				sk.SketchInto(out, a)
-			}
-		})
-	}
 }
 
 // BenchmarkTable6Abnormal races the kernels on the exotic patterns.

@@ -318,7 +318,7 @@ func tableSampleBreakdown(id, bn int, label string) {
 		}
 		for _, w := range workloads() {
 			tm := mustTime(w.A, w.D, core.Options{
-				Algorithm: alg, Seed: uint64(*seed), Workers: 1, Timed: true,
+				Algorithm: alg, Seed: uint64(*seed), Workers: 1,
 				BlockD: core.DefaultBlockD, BlockN: bn,
 			})
 			t.AddRow(w.Name, name, tm.Stats.Total, tm.Stats.SampleTime)

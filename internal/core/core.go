@@ -54,7 +54,8 @@ func (a Algorithm) String() string {
 
 // Options configures a Sketcher or Plan. The zero value gives the paper's
 // defaults: Algorithm 3, 4-lane xoshiro, uniform (-1,1) entries, auto block
-// sizes, sequential execution.
+// sizes, sequential execution. No option switches instrumentation: every
+// run reports its sample time in Stats.SampleTime from the same kernels.
 type Options struct {
 	// Algorithm picks the compute kernel (default Alg3).
 	Algorithm Algorithm
@@ -82,10 +83,6 @@ type Options struct {
 	// Workers is the number of parallel workers over outer blocks;
 	// 0 means GOMAXPROCS, 1 forces sequential execution.
 	Workers int
-	// Timed enables the per-kernel sampling timers used by the
-	// Table III/V breakdowns (slightly slows the kernels, as the paper
-	// notes of its own instrumented runs).
-	Timed bool
 	// RNGCost is the relative cost h of generating one random value,
 	// used only by AlgAuto's inspector (0 selects 1; measure the host's
 	// value with analysis.EstimateH). The inspector additionally scales
@@ -121,8 +118,11 @@ type Stats struct {
 	Samples int64
 	// Flops is the useful floating-point work, 2·d·nnz(A).
 	Flops int64
-	// SampleTime is the time spent generating random numbers
-	// (only populated when Options.Timed is set).
+	// SampleTime is the time spent generating random numbers, summed
+	// over workers. It is a sampled estimate, reported on every call:
+	// each worker times one generation step in 256, leaves its largest
+	// reading out and scales the rest up to all its steps
+	// (kernels.SampleClock).
 	SampleTime time.Duration
 	// ConvertTime is the CSC→BlockedCSR conversion time (Alg4 only).
 	// It is paid once per plan: Plan.Execute always reports 0 here (see

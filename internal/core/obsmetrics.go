@@ -11,7 +11,8 @@ import (
 // the whole plan cache the way an operator wants to scrape them —
 // per-matrix breakdowns stay in service.Stats.Entries.
 //
-// All fields are optional; recording skips nil ones. Recording is strictly
+// Build one with NewPlanMetrics: recording expects every field set, so
+// every stage, the RNG stage included, is always on. Recording is strictly
 // zero-alloc — atomic adds and fixed-bucket observes — so wiring metrics
 // into a plan does not disturb Execute's allocation-free steady state
 // (TestServiceHitZeroAlloc gates this end to end).
@@ -28,9 +29,9 @@ type PlanMetrics struct {
 	// "multiply cost").
 	ExecuteTime *obs.Histogram
 	// SampleTime is the RNG-stage histogram: per-round time spent
-	// generating random numbers (the paper's "generation cost"). Only
-	// populated when Options.Timed is set — the kernels otherwise skip the
-	// per-call timers.
+	// generating random numbers (the paper's "generation cost"), observed
+	// on every round that generated samples. The value is the sampled
+	// estimate of Stats.SampleTime.
 	SampleTime *obs.Histogram
 }
 
@@ -48,7 +49,7 @@ func NewPlanMetrics(r *obs.Registry) *PlanMetrics {
 		ExecuteTime: r.Histogram("sketchsp_plan_execute_seconds",
 			"Kernel-stage latency per Execute round (multiply cost)."),
 		SampleTime: r.Histogram("sketchsp_plan_sample_seconds",
-			"RNG-stage time per Execute round (generation cost; requires Options.Timed)."),
+			"RNG-stage time per Execute round (generation cost), a sampled estimate."),
 	}
 }
 
@@ -66,19 +67,11 @@ func (p *Plan) recordMetrics(st *Stats) {
 	if m == nil {
 		return
 	}
-	if m.Executes != nil {
-		m.Executes.Inc()
-	}
-	if m.Steals != nil {
-		m.Steals.Add(st.Steals)
-	}
-	if m.Samples != nil {
-		m.Samples.Add(st.Samples)
-	}
-	if m.ExecuteTime != nil {
-		m.ExecuteTime.Observe(st.Total)
-	}
-	if m.SampleTime != nil && st.SampleTime > 0 {
+	m.Executes.Inc()
+	m.Steals.Add(st.Steals)
+	m.Samples.Add(st.Samples)
+	m.ExecuteTime.Observe(st.Total)
+	if st.Samples > 0 {
 		m.SampleTime.Observe(st.SampleTime)
 	}
 }

@@ -65,18 +65,19 @@ type PlanStats struct {
 
 // workspace is the per-worker mutable state of a plan: a private sampler,
 // the d₁-length scratch vector the kernels overwrite with generated entries
-// of S, a reusable sub-view header for Â, and the per-round accumulators.
+// of S, a reusable sub-view header for Â, and the per-round accumulators,
+// among them the clock that estimates the worker's sample time.
 // Pre-allocating these at plan time is what makes Execute allocation-free.
 type workspace struct {
-	s          *rng.Sampler
-	v          []float64
-	pos        []int     // sparse family: per-column position scratch (len s)
-	sval       []float64 // sparse family: per-column value scratch (len s)
-	sub        dense.Matrix
-	samples    int64
-	sampleTime time.Duration
-	busy       time.Duration
-	steals     int64
+	s       *rng.Sampler
+	v       []float64
+	pos     []int     // sparse family: per-column position scratch (len s)
+	sval    []float64 // sparse family: per-column value scratch (len s)
+	sub     dense.Matrix
+	samples int64
+	clk     kernels.SampleClock
+	busy    time.Duration
+	steals  int64
 }
 
 // planPool is a plan's persistent worker pool: goroutines started lazily on
@@ -378,7 +379,7 @@ func (p *Plan) ExecuteContext(ctx context.Context, ahat *dense.Matrix) (Stats, e
 	ahat.Zero()
 	for _, ws := range p.ws {
 		ws.samples = 0
-		ws.sampleTime = 0
+		ws.clk = kernels.SampleClock{}
 		ws.busy = 0
 		ws.steals = 0
 	}
@@ -432,7 +433,7 @@ func (p *Plan) ExecuteContext(ctx context.Context, ahat *dense.Matrix) (Stats, e
 	var maxBusy, sumBusy time.Duration
 	for i, ws := range p.ws {
 		st.Samples += ws.samples
-		st.SampleTime += ws.sampleTime
+		st.SampleTime += ws.clk.Estimate(ws.busy)
 		st.Steals += ws.steals
 		p.busyBuf[i] = ws.busy
 		sumBusy += ws.busy
@@ -595,35 +596,15 @@ func (p *Plan) runTask(t blockTask, ws *workspace) {
 		// draw is keyed off the global column index alone (see rng), so
 		// blockRow only selects which positions land in this block.
 		if p.alg == Alg4 {
-			slab := p.blocked.Blocks[t.slab]
-			if p.opts.Timed {
-				ws.samples += kernels.Kernel4SJLTTimed(sub, slab, uint64(t.i0), ws.s, p.d, p.sparsity, p.sjltScale, ws.pos, ws.sval, &ws.sampleTime)
-			} else {
-				ws.samples += kernels.Kernel4SJLT(sub, slab, uint64(t.i0), ws.s, p.d, p.sparsity, p.sjltScale, ws.pos, ws.sval)
-			}
-			return
-		}
-		slab := p.slabs[t.slab]
-		if p.opts.Timed {
-			ws.samples += kernels.Kernel3SJLTTimed(sub, slab, uint64(t.i0), ws.s, p.d, p.sparsity, p.sjltScale, ws.pos, ws.sval, &ws.sampleTime)
+			ws.samples += kernels.Kernel4SJLT(sub, p.blocked.Blocks[t.slab], uint64(t.i0), ws.s, p.d, p.sparsity, p.sjltScale, ws.pos, ws.sval, &ws.clk)
 		} else {
-			ws.samples += kernels.Kernel3SJLT(sub, slab, uint64(t.i0), ws.s, p.d, p.sparsity, p.sjltScale, ws.pos, ws.sval)
+			ws.samples += kernels.Kernel3SJLT(sub, p.slabs[t.slab], uint64(t.i0), ws.s, p.d, p.sparsity, p.sjltScale, ws.pos, ws.sval, &ws.clk)
 		}
 		return
 	}
 	if p.alg == Alg4 {
-		slab := p.blocked.Blocks[t.slab]
-		if p.opts.Timed {
-			ws.samples += kernels.Kernel4Timed(sub, slab, uint64(t.i0), ws.s, ws.v, &ws.sampleTime)
-		} else {
-			ws.samples += kernels.Kernel4(sub, slab, uint64(t.i0), ws.s, ws.v)
-		}
-		return
-	}
-	slab := p.slabs[t.slab]
-	if p.opts.Timed {
-		ws.samples += kernels.Kernel3Timed(sub, slab, uint64(t.i0), ws.s, ws.v, &ws.sampleTime)
+		ws.samples += kernels.Kernel4(sub, p.blocked.Blocks[t.slab], uint64(t.i0), ws.s, ws.v, &ws.clk)
 	} else {
-		ws.samples += kernels.Kernel3(sub, slab, uint64(t.i0), ws.s, ws.v)
+		ws.samples += kernels.Kernel3(sub, p.slabs[t.slab], uint64(t.i0), ws.s, ws.v, &ws.clk)
 	}
 }

@@ -138,7 +138,7 @@ func TestPlanReproducibilityAcrossWorkersAndReuse(t *testing.T) {
 func TestPlanStatsAccounting(t *testing.T) {
 	a := sparse.RandomUniform(400, 50, 0.1, 5)
 	d := 2 * a.N
-	p := mustPlan(t, a, d, Options{Algorithm: Alg4, Workers: 2, Timed: true})
+	p := mustPlan(t, a, d, Options{Algorithm: Alg4, Workers: 2})
 	ps := p.Stats()
 	if ps.Algorithm != Alg4 {
 		t.Errorf("Algorithm = %v", ps.Algorithm)

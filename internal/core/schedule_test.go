@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"sketchsp/internal/dense"
 	"sketchsp/internal/rng"
@@ -376,27 +377,31 @@ func TestSchedulerStrings(t *testing.T) {
 	}
 }
 
-// Rademacher exercises the fused timed/untimed kernels through the full
-// planner on a skewed input: Timed must not change bits either.
-func TestTimedExecutionBitIdenticalOnSkew(t *testing.T) {
+// With no option set, every Execute of every distribution, algorithm,
+// worker count and scheduler reports sample time from the one production
+// kernel: a positive estimate no larger than the workers' summed busy time.
+func TestExecuteReportsSampleTime(t *testing.T) {
 	a := sparse.PowerLaw(400, 200, 9000, 1.4, 31)
-	for _, alg := range []Algorithm{Alg3, Alg4} {
-		for _, dist := range []rng.Distribution{rng.Uniform11, rng.Rademacher} {
-			base := Options{Algorithm: alg, Dist: dist, Seed: 77, BlockD: 33, BlockN: 40, Workers: 4}
-			timed := base
-			timed.Timed = true
-
-			pa := mustPlan(t, a, 100, base)
-			pb := mustPlan(t, a, 100, timed)
-			x := dense.NewMatrix(100, a.N)
-			y := dense.NewMatrix(100, a.N)
-			mustExecute(t, pa, x)
-			st := mustExecute(t, pb, y)
-			if !sameBits(x, y) {
-				t.Fatalf("%v/%v: Timed changed the sketch bits", alg, dist)
-			}
-			if st.SampleTime <= 0 {
-				t.Fatalf("%v/%v: Timed reported no sample time", alg, dist)
+	const d = 100
+	ahat := dense.NewMatrix(d, a.N)
+	for _, dist := range []rng.Distribution{rng.Uniform11, rng.Rademacher, rng.Gaussian, rng.ScaledInt, rng.SJLT} {
+		for _, alg := range []Algorithm{Alg3, Alg4} {
+			for _, workers := range []int{1, 2} {
+				for _, sch := range []Scheduler{SchedWeighted, SchedUniform} {
+					p := mustPlan(t, a, d, Options{Algorithm: alg, Dist: dist, Seed: 77,
+						BlockD: 33, BlockN: 40, Workers: workers, Sched: sch})
+					for rep := 0; rep < 2; rep++ {
+						st := mustExecute(t, p, ahat)
+						var busy time.Duration
+						for _, b := range st.WorkerBusy {
+							busy += b
+						}
+						if st.Samples <= 0 || st.SampleTime <= 0 || st.SampleTime > busy {
+							t.Errorf("%v/%v/w%d/%v rep %d: samples %d, sample time %v, busy %v",
+								dist, alg, workers, sch, rep, st.Samples, st.SampleTime, busy)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"time"
 
 	"sketchsp/internal/dense"
 	"sketchsp/internal/rng"
@@ -16,14 +15,15 @@ import (
 // d1×n1 view ahat, Asub is the m×n1 CSC slab asub, and blockRow identifies
 // the block-row offset i0 of Âsub within Â (the r of the pseudocode's
 // g.set_state(r, j)). v is a caller-provided scratch vector of length d1
-// that is repeatedly overwritten with generated entries of S.
+// that is repeatedly overwritten with generated entries of S; clk times a
+// sample of those generation steps (see SampleClock), as in every kernel.
 //
 // For every nonzero A[j,k] the kernel regenerates the d1 entries of S's
 // column j at this block row — strided access to all three operands, no
 // reuse of random numbers (Alg 3 always generates d·nnz(A) samples, §III-B).
 //
 // Returns the number of random samples generated.
-func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, blockRow uint64, s *rng.Sampler, v []float64) int64 {
+func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, blockRow uint64, s *rng.Sampler, v []float64, clk *SampleClock) int64 {
 	d1, n1 := ahat.Rows, ahat.Cols
 	if asub.N != n1 {
 		panic(fmt.Sprintf("kernels: Kernel3 Âsub cols %d != Asub cols %d", n1, asub.N))
@@ -44,8 +44,10 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, blockRow uint64, s *rng.Sampl
 			}
 			col := ahat.Col(k)
 			for t, j := range rows {
+				clk.start()
 				s.SetState(blockRow, uint64(j))
 				w := s.RawWords(d1)
+				clk.stop()
 				generated += int64(d1)
 				axpySign(vals[t], w, col)
 			}
@@ -59,65 +61,13 @@ func Kernel3(ahat *dense.Matrix, asub *sparse.CSC, blockRow uint64, s *rng.Sampl
 		}
 		col := ahat.Col(k)
 		for t, j := range rows {
+			clk.start()
 			s.SetState(blockRow, uint64(j))
 			s.Fill(v)
+			clk.stop()
 			generated += int64(d1)
 			axpy(vals[t], v, col)
 		}
 	}
-	return generated
-}
-
-// Kernel3Timed is Kernel3 with the sampling phase timed separately, used by
-// the Table III/V breakdowns. As in the paper, the extra timer calls make
-// the total slightly slower than the untimed kernel.
-func Kernel3Timed(ahat *dense.Matrix, asub *sparse.CSC, blockRow uint64, s *rng.Sampler, v []float64, sampleTime *time.Duration) int64 {
-	d1, n1 := ahat.Rows, ahat.Cols
-	if asub.N != n1 {
-		panic(fmt.Sprintf("kernels: Kernel3Timed Âsub cols %d != Asub cols %d", n1, asub.N))
-	}
-	v = v[:d1]
-	var generated int64
-	var sampled time.Duration
-	if s.Dist() == rng.Rademacher {
-		// Same fused ±1 path as the untimed kernel (bit-for-bit identical
-		// output), with the generation phase — state seek + raw sign words
-		// — under the timer. Previously the timed variant fell back to the
-		// generic Fill path, so Table III/V runs measured a different
-		// (slower, but equal-valued) ±1 kernel than production executed.
-		for k := 0; k < n1; k++ {
-			rows, vals := asub.ColView(k)
-			if len(rows) == 0 {
-				continue
-			}
-			col := ahat.Col(k)
-			for t, j := range rows {
-				t0 := time.Now()
-				s.SetState(blockRow, uint64(j))
-				w := s.RawWords(d1)
-				sampled += time.Since(t0)
-				generated += int64(d1)
-				axpySign(vals[t], w, col)
-			}
-		}
-		*sampleTime += sampled
-		return generated
-	}
-	for k := 0; k < n1; k++ {
-		rows, vals := asub.ColView(k)
-		if len(rows) == 0 {
-			continue
-		}
-		col := ahat.Col(k)
-		for t, j := range rows {
-			t0 := time.Now()
-			s.SetState(blockRow, uint64(j))
-			s.Fill(v)
-			sampled += time.Since(t0)
-			generated += int64(d1)
-			axpy(vals[t], v, col)
-		}
-	}
-	*sampleTime += sampled
 	return generated
 }

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"time"
 
 	"sketchsp/internal/dense"
 	"sketchsp/internal/rng"
@@ -23,7 +22,7 @@ import (
 // Âsub.
 //
 // Returns the number of random samples generated.
-func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, blockRow uint64, s *rng.Sampler, v []float64) int64 {
+func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, blockRow uint64, s *rng.Sampler, v []float64, clk *SampleClock) int64 {
 	d1, n1 := ahat.Rows, ahat.Cols
 	if slab.N != n1 {
 		panic(fmt.Sprintf("kernels: Kernel4 Âsub cols %d != slab cols %d", n1, slab.N))
@@ -41,8 +40,10 @@ func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, blockRow uint64, s *rng.Sampl
 			if len(cols) == 0 {
 				continue
 			}
+			clk.start()
 			s.SetState(blockRow, uint64(j))
 			w := s.RawWords(d1)
+			clk.stop()
 			generated += int64(d1)
 			for t, k := range cols {
 				axpySign(vals[t], w, ahat.Col(k))
@@ -55,61 +56,15 @@ func Kernel4(ahat *dense.Matrix, slab *sparse.CSR, blockRow uint64, s *rng.Sampl
 		if len(cols) == 0 {
 			continue
 		}
+		clk.start()
 		s.SetState(blockRow, uint64(j))
 		s.Fill(v)
+		clk.stop()
 		generated += int64(d1)
 		for t, k := range cols {
 			axpy(vals[t], v, ahat.Col(k))
 		}
 	}
-	return generated
-}
-
-// Kernel4Timed is Kernel4 with the sampling phase timed separately
-// (Table III/V breakdowns).
-func Kernel4Timed(ahat *dense.Matrix, slab *sparse.CSR, blockRow uint64, s *rng.Sampler, v []float64, sampleTime *time.Duration) int64 {
-	d1, n1 := ahat.Rows, ahat.Cols
-	if slab.N != n1 {
-		panic(fmt.Sprintf("kernels: Kernel4Timed Âsub cols %d != slab cols %d", n1, slab.N))
-	}
-	v = v[:d1]
-	var generated int64
-	var sampled time.Duration
-	if s.Dist() == rng.Rademacher {
-		// Same fused ±1 path as the untimed kernel (bit-for-bit identical
-		// output) with generation under the timer — see Kernel3Timed.
-		for j := 0; j < slab.M; j++ {
-			cols, vals := slab.RowView(j)
-			if len(cols) == 0 {
-				continue
-			}
-			t0 := time.Now()
-			s.SetState(blockRow, uint64(j))
-			w := s.RawWords(d1)
-			sampled += time.Since(t0)
-			generated += int64(d1)
-			for t, k := range cols {
-				axpySign(vals[t], w, ahat.Col(k))
-			}
-		}
-		*sampleTime += sampled
-		return generated
-	}
-	for j := 0; j < slab.M; j++ {
-		cols, vals := slab.RowView(j)
-		if len(cols) == 0 {
-			continue
-		}
-		t0 := time.Now()
-		s.SetState(blockRow, uint64(j))
-		s.Fill(v)
-		sampled += time.Since(t0)
-		generated += int64(d1)
-		for t, k := range cols {
-			axpy(vals[t], v, ahat.Col(k))
-		}
-	}
-	*sampleTime += sampled
 	return generated
 }
 

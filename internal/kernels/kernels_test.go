@@ -109,7 +109,7 @@ func TestKernel3MatchesExplicitProduct(t *testing.T) {
 		ahat := dense.NewMatrix(d1, n1)
 		samp := rng.NewSampler(rng.NewBatchXoshiro(7), rng.Uniform11)
 		v := make([]float64, d1)
-		gen := Kernel3(ahat, a, 100, samp, v)
+		gen := Kernel3(ahat, a, 100, samp, v, new(SampleClock))
 		if gen != int64(d1)*int64(a.NNZ()) {
 			t.Fatalf("Kernel3 generated %d samples, want d1·nnz = %d", gen, d1*a.NNZ())
 		}
@@ -131,7 +131,7 @@ func TestKernel4MatchesExplicitProduct(t *testing.T) {
 		ahat := dense.NewMatrix(d1, n1)
 		samp := rng.NewSampler(rng.NewBatchXoshiro(8), rng.Uniform11)
 		v := make([]float64, d1)
-		gen := Kernel4(ahat, slab, 64, samp, v)
+		gen := Kernel4(ahat, slab, 64, samp, v, new(SampleClock))
 		// Samples = d1 × (number of nonempty rows).
 		nonempty := 0
 		for i := 0; i < slab.M; i++ {
@@ -163,11 +163,11 @@ func TestKernel3Kernel4BitwiseIdentical(t *testing.T) {
 
 		ah3 := dense.NewMatrix(d1, n1)
 		s3 := rng.NewSampler(rng.NewBatchXoshiro(seed), rng.Uniform11)
-		Kernel3(ah3, a, 5, s3, make([]float64, d1))
+		Kernel3(ah3, a, 5, s3, make([]float64, d1), new(SampleClock))
 
 		ah4 := dense.NewMatrix(d1, n1)
 		s4 := rng.NewSampler(rng.NewBatchXoshiro(seed), rng.Uniform11)
-		Kernel4(ah4, slab, 5, s4, make([]float64, d1))
+		Kernel4(ah4, slab, 5, s4, make([]float64, d1), new(SampleClock))
 
 		for k := range ah3.Data {
 			if ah3.Data[k] != ah4.Data[k] {
@@ -192,68 +192,9 @@ func TestKernelsSkipEmptyRowsAndColumns(t *testing.T) {
 	d1 := 8
 	ahat := dense.NewMatrix(d1, 4)
 	s := rng.NewSampler(rng.NewBatchXoshiro(1), rng.Uniform11)
-	gen := Kernel4(ahat, slab, 0, s, make([]float64, d1))
+	gen := Kernel4(ahat, slab, 0, s, make([]float64, d1), new(SampleClock))
 	if gen != int64(d1)*2 { // rows 2 and 7 only
 		t.Fatalf("Kernel4 generated %d, want %d (2 nonempty rows)", gen, d1*2)
-	}
-}
-
-// The timed kernels must be observationally identical to the untimed ones —
-// same bits, same sample counts — for EVERY distribution. ±1 sketches are
-// the regression case: the timed variants used to fall back to the generic
-// Fill path while the untimed kernels took the fused sign-bit path, so the
-// Table III/V instrumentation measured a kernel production never ran.
-func TestTimedKernelsMatchUntimed(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	// d1 = 67 straddles a 64-bit sign-word boundary in the fused ±1 path.
-	d1, m, n1 := 67, 25, 6
-	a := randCSC(r, m, n1, 50)
-	slab := a.ToCSR()
-
-	run := func(timed bool, alg int, dist rng.Distribution) (*dense.Matrix, int64) {
-		ahat := dense.NewMatrix(d1, n1)
-		s := rng.NewSampler(rng.NewBatchXoshiro(11), dist)
-		v := make([]float64, d1)
-		var dt time.Duration
-		switch {
-		case alg == 3 && timed:
-			return ahat, Kernel3Timed(ahat, a, 9, s, v, &dt)
-		case alg == 3:
-			return ahat, Kernel3(ahat, a, 9, s, v)
-		case alg == 4 && timed:
-			return ahat, Kernel4Timed(ahat, slab, 9, s, v, &dt)
-		default:
-			return ahat, Kernel4(ahat, slab, 9, s, v)
-		}
-	}
-	dists := []rng.Distribution{rng.Uniform11, rng.Rademacher, rng.Gaussian, rng.ScaledInt}
-	for _, dist := range dists {
-		for _, alg := range []int{3, 4} {
-			plain, genP := run(false, alg, dist)
-			timed, genT := run(true, alg, dist)
-			if genP != genT {
-				t.Fatalf("%v alg %d: timed generated %d samples, untimed %d",
-					dist, alg, genT, genP)
-			}
-			for k := range plain.Data {
-				if plain.Data[k] != timed.Data[k] {
-					t.Fatalf("%v alg %d: timed variant changed bits at %d", dist, alg, k)
-				}
-			}
-		}
-	}
-}
-
-func TestTimedKernelsReportSampleTime(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	a := randCSC(r, 200, 20, 800)
-	d1 := 64
-	ahat := dense.NewMatrix(d1, 20)
-	s := rng.NewSampler(rng.NewBatchXoshiro(12), rng.Uniform11)
-	var dt time.Duration
-	Kernel3Timed(ahat, a, 0, s, make([]float64, d1), &dt)
-	if dt <= 0 {
-		t.Fatal("Kernel3Timed reported zero sample time")
 	}
 }
 
@@ -266,7 +207,7 @@ func TestKernelPregenVariantsMatchRNGKernels(t *testing.T) {
 
 	ahRNG := dense.NewMatrix(d1, n1)
 	s := rng.NewSampler(rng.NewBatchXoshiro(13), rng.Uniform11)
-	Kernel3(ahRNG, a, 3, s, make([]float64, d1))
+	Kernel3(ahRNG, a, 3, s, make([]float64, d1), new(SampleClock))
 
 	ah3 := dense.NewMatrix(d1, n1)
 	Kernel3Pregen(ah3, a, sm)
@@ -285,9 +226,9 @@ func TestKernelDimensionPanics(t *testing.T) {
 	a := randCSC(rand.New(rand.NewSource(8)), 5, 4, 6)
 	s := rng.NewSampler(rng.NewBatchXoshiro(1), rng.Uniform11)
 	cases := []func(){
-		func() { Kernel3(dense.NewMatrix(3, 9), a, 0, s, make([]float64, 3)) },
-		func() { Kernel3(dense.NewMatrix(3, 4), a, 0, s, make([]float64, 1)) },
-		func() { Kernel4(dense.NewMatrix(3, 9), a.ToCSR(), 0, s, make([]float64, 3)) },
+		func() { Kernel3(dense.NewMatrix(3, 9), a, 0, s, make([]float64, 3), new(SampleClock)) },
+		func() { Kernel3(dense.NewMatrix(3, 4), a, 0, s, make([]float64, 1), new(SampleClock)) },
+		func() { Kernel4(dense.NewMatrix(3, 9), a.ToCSR(), 0, s, make([]float64, 3), new(SampleClock)) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -329,7 +270,7 @@ func TestFusedRademacherPaths(t *testing.T) {
 
 		ah3 := dense.NewMatrix(d1, 8)
 		s3 := rng.NewSampler(rng.NewBatchXoshiro(21), rng.Rademacher)
-		Kernel3(ah3, a, 7, s3, make([]float64, d1))
+		Kernel3(ah3, a, 7, s3, make([]float64, d1), new(SampleClock))
 		want := naiveMul(sm, a)
 		if ah3.MaxAbsDiff(want) > 1e-12 {
 			t.Fatalf("d1=%d: fused Kernel3 ±1 off by %g", d1, ah3.MaxAbsDiff(want))
@@ -337,7 +278,7 @@ func TestFusedRademacherPaths(t *testing.T) {
 
 		ah4 := dense.NewMatrix(d1, 8)
 		s4 := rng.NewSampler(rng.NewBatchXoshiro(21), rng.Rademacher)
-		Kernel4(ah4, slab, 7, s4, make([]float64, d1))
+		Kernel4(ah4, slab, 7, s4, make([]float64, d1), new(SampleClock))
 		if ah4.MaxAbsDiff(ah3) != 0 {
 			t.Fatalf("d1=%d: fused Kernel4 ±1 differs from Kernel3", d1)
 		}
@@ -353,9 +294,35 @@ func TestFusedRademacherMatchesGenericSource(t *testing.T) {
 	sm := materialize(rng.NewPhilox4x32(5), rng.Rademacher, 3, d1, 30)
 	ah := dense.NewMatrix(d1, 6)
 	s := rng.NewSampler(rng.NewPhilox4x32(5), rng.Rademacher)
-	Kernel3(ah, a, 3, s, make([]float64, d1))
+	Kernel3(ah, a, 3, s, make([]float64, d1), new(SampleClock))
 	want := naiveMul(sm, a)
 	if ah.MaxAbsDiff(want) > 1e-12 {
 		t.Fatalf("philox ±1 kernel off by %g", ah.MaxAbsDiff(want))
+	}
+}
+
+// The clock reads the first step of a round and every sampleEvery-th step
+// after it, leaves its largest reading out, scales the rest to all steps,
+// and never reports more than the busy time it is capped at.
+func TestSampleClockSamplesAndCaps(t *testing.T) {
+	var c SampleClock
+	for i := 0; i < 2*sampleEvery+1; i++ {
+		c.start()
+		c.stop()
+	}
+	if c.steps != 2*sampleEvery+1 || c.timed != 3 {
+		t.Fatalf("steps %d timed %d, want %d and 3", c.steps, c.timed, 2*sampleEvery+1)
+	}
+	// Two readings of 10 ns net and one of 1000 ns, which is left out.
+	c.sum, c.max = 3*clockCost()+1020, clockCost()+1000
+	if got := c.Estimate(time.Hour); got != 10*(2*sampleEvery+1) {
+		t.Fatalf("Estimate = %v, want %v", got, 10*(2*sampleEvery+1))
+	}
+	if got := c.Estimate(7); got != 7 {
+		t.Fatalf("Estimate capped at 7ns = %v", got)
+	}
+	c = SampleClock{}
+	if c.Estimate(time.Hour) != 0 {
+		t.Fatal("a fresh clock reports sample time")
 	}
 }

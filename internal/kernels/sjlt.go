@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"time"
 
 	"sketchsp/internal/dense"
 	"sketchsp/internal/rng"
@@ -46,7 +45,7 @@ func sjltRange(pos []int, i0, d1 int) (lo, hi int) {
 // count, scale the nonzero magnitude (1/√s); pos and val are caller
 // scratch of length ≥ s. Returns the number of raw words drawn (s per
 // regeneration), the sparse family's sample count.
-func Kernel3SJLT(ahat *dense.Matrix, asub *sparse.CSC, blockRow uint64, sp *rng.Sampler, d, s int, scale float64, pos []int, val []float64) int64 {
+func Kernel3SJLT(ahat *dense.Matrix, asub *sparse.CSC, blockRow uint64, sp *rng.Sampler, d, s int, scale float64, pos []int, val []float64, clk *SampleClock) int64 {
 	d1, n1 := ahat.Rows, ahat.Cols
 	if asub.N != n1 {
 		panic(fmt.Sprintf("kernels: Kernel3SJLT Âsub cols %d != Asub cols %d", n1, asub.N))
@@ -64,67 +63,23 @@ func Kernel3SJLT(ahat *dense.Matrix, asub *sparse.CSC, blockRow uint64, sp *rng.
 		}
 		col := ahat.Col(k)
 		for t, j := range rows {
+			clk.start()
 			sp.FillSJLTColumn(uint64(j), d, s, scale, pos, val)
+			clk.stop()
 			generated += int64(s)
-			a := vals[t]
-			for b := 0; b < s; b++ {
-				p := pos[b]
-				if p < i0 {
-					continue
-				}
-				if p >= i0+d1 {
-					break
-				}
-				col[p-i0] += val[b] * a
+			lo, hi := sjltRange(pos, i0, d1)
+			for b := lo; b < hi; b++ {
+				col[pos[b]-i0] += val[b] * vals[t]
 			}
 		}
 	}
-	return generated
-}
-
-// Kernel3SJLTTimed is Kernel3SJLT with the regeneration phase timed
-// separately (Table III/V-style breakdowns).
-func Kernel3SJLTTimed(ahat *dense.Matrix, asub *sparse.CSC, blockRow uint64, sp *rng.Sampler, d, s int, scale float64, pos []int, val []float64, sampleTime *time.Duration) int64 {
-	d1, n1 := ahat.Rows, ahat.Cols
-	if asub.N != n1 {
-		panic(fmt.Sprintf("kernels: Kernel3SJLTTimed Âsub cols %d != Asub cols %d", n1, asub.N))
-	}
-	i0 := int(blockRow)
-	pos, val = pos[:s], val[:s]
-	var generated int64
-	var sampled time.Duration
-	for k := 0; k < n1; k++ {
-		rows, vals := asub.ColView(k)
-		if len(rows) == 0 {
-			continue
-		}
-		col := ahat.Col(k)
-		for t, j := range rows {
-			t0 := time.Now()
-			sp.FillSJLTColumn(uint64(j), d, s, scale, pos, val)
-			sampled += time.Since(t0)
-			generated += int64(s)
-			a := vals[t]
-			for b := 0; b < s; b++ {
-				p := pos[b]
-				if p < i0 {
-					continue
-				}
-				if p >= i0+d1 {
-					break
-				}
-				col[p-i0] += val[b] * a
-			}
-		}
-	}
-	*sampleTime += sampled
 	return generated
 }
 
 // Kernel4SJLT is the sparse-family analogue of Kernel4: jki over one
 // blocked-CSR slab, regenerating the s-sparse column of S once per
 // nonempty sparse row and reusing it across the row's nonzeros.
-func Kernel4SJLT(ahat *dense.Matrix, slab *sparse.CSR, blockRow uint64, sp *rng.Sampler, d, s int, scale float64, pos []int, val []float64) int64 {
+func Kernel4SJLT(ahat *dense.Matrix, slab *sparse.CSR, blockRow uint64, sp *rng.Sampler, d, s int, scale float64, pos []int, val []float64, clk *SampleClock) int64 {
 	d1, n1 := ahat.Rows, ahat.Cols
 	if slab.N != n1 {
 		panic(fmt.Sprintf("kernels: Kernel4SJLT Âsub cols %d != slab cols %d", n1, slab.N))
@@ -140,7 +95,9 @@ func Kernel4SJLT(ahat *dense.Matrix, slab *sparse.CSR, blockRow uint64, sp *rng.
 		if len(cols) == 0 {
 			continue
 		}
+		clk.start()
 		sp.FillSJLTColumn(uint64(j), d, s, scale, pos, val)
+		clk.stop()
 		generated += int64(s)
 		lo, hi := sjltRange(pos, i0, d1)
 		if lo == hi {
@@ -154,41 +111,5 @@ func Kernel4SJLT(ahat *dense.Matrix, slab *sparse.CSR, blockRow uint64, sp *rng.
 			}
 		}
 	}
-	return generated
-}
-
-// Kernel4SJLTTimed is Kernel4SJLT with the regeneration phase timed
-// separately.
-func Kernel4SJLTTimed(ahat *dense.Matrix, slab *sparse.CSR, blockRow uint64, sp *rng.Sampler, d, s int, scale float64, pos []int, val []float64, sampleTime *time.Duration) int64 {
-	d1, n1 := ahat.Rows, ahat.Cols
-	if slab.N != n1 {
-		panic(fmt.Sprintf("kernels: Kernel4SJLTTimed Âsub cols %d != slab cols %d", n1, slab.N))
-	}
-	i0 := int(blockRow)
-	pos, val = pos[:s], val[:s]
-	var generated int64
-	var sampled time.Duration
-	for j := 0; j < slab.M; j++ {
-		cols, vals := slab.RowView(j)
-		if len(cols) == 0 {
-			continue
-		}
-		t0 := time.Now()
-		sp.FillSJLTColumn(uint64(j), d, s, scale, pos, val)
-		sampled += time.Since(t0)
-		generated += int64(s)
-		lo, hi := sjltRange(pos, i0, d1)
-		if lo == hi {
-			continue
-		}
-		for t, k := range cols {
-			a := vals[t]
-			col := ahat.Col(k)
-			for b := lo; b < hi; b++ {
-				col[pos[b]-i0] += val[b] * a
-			}
-		}
-	}
-	*sampleTime += sampled
 	return generated
 }

@@ -217,6 +217,8 @@ func TestE2EMetricsEndpointReconciles(t *testing.T) {
 		executes += e.Executes
 	}
 	expectEq("sketchsp_plan_executes_total", executes)
+	// Every round reports its sample time: one observation per execute.
+	expectEq("sketchsp_plan_sample_seconds_count", executes)
 
 	// The server's registry is the service's (Config.Metrics defaulting):
 	// one scrape covers the whole stack.

@@ -194,7 +194,7 @@ func decodeSketchOpts(payload []byte, itemFlags byte) (core.Options, byte, error
 		return opts, 0, fmt.Errorf("%w: sparsity %d out of domain", ErrMalformed, sparsity)
 	case math.IsNaN(rngCost) || math.IsInf(rngCost, 0) || rngCost < 0:
 		return opts, 0, fmt.Errorf("%w: non-finite or negative RNGCost", ErrMalformed)
-	case flags&^(3|itemFlags) != 0:
+	case flags&^(2|itemFlags) != 0:
 		return opts, 0, fmt.Errorf("%w: unknown request flags %#x", ErrMalformed, flags)
 	}
 	opts.Algorithm = core.Algorithm(alg)
@@ -206,7 +206,6 @@ func decodeSketchOpts(payload []byte, itemFlags byte) (core.Options, byte, error
 	opts.Sched = core.Scheduler(sched)
 	opts.Sparsity = int(sparsity)
 	opts.RNGCost = rngCost
-	opts.Timed = flags&1 != 0
 	opts.TuneBlockN = flags&2 != 0
 	return opts, flags & itemFlags, nil
 }

@@ -68,9 +68,6 @@ func appendSketchOpts(dst []byte, opts core.Options, itemFlags byte) []byte {
 	dst = appendU64(dst, uint64(int64(opts.Sparsity)))
 	dst = appendU64(dst, math.Float64bits(opts.RNGCost))
 	flags := itemFlags
-	if opts.Timed {
-		flags |= 1
-	}
 	if opts.TuneBlockN {
 		flags |= 2
 	}

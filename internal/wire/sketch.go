@@ -46,7 +46,7 @@ import (
 // is answered with a one-item response carrying that failure.
 
 // Item flag bits, carried in the options block's flag byte next to the
-// Timed (bit 0) and TuneBlockN (bit 1) option bits.
+// TuneBlockN option bit (bit 1). Bit 0 is retired: decoders reject it.
 const (
 	flagByRef  byte = 4 // the item names its matrix by fingerprint
 	flagPlaced byte = 8 // the item is a column shard at (j0, nTotal)

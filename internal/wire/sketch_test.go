@@ -42,7 +42,7 @@ func TestRequestRoundtrip(t *testing.T) {
 	optsList := []core.Options{
 		{},
 		{Algorithm: core.AlgAuto, Dist: rng.Gaussian, Source: rng.SourcePhilox,
-			Seed: 42, BlockD: 128, BlockN: 33, Workers: 4, Timed: true,
+			Seed: 42, BlockD: 128, BlockN: 33, Workers: 4,
 			RNGCost: 2.5, TuneBlockN: true, Sched: core.SchedUniform},
 		{Algorithm: core.Alg4, Dist: rng.ScaledInt, Seed: ^uint64(0), Sched: core.SchedNoSteal},
 		{Dist: rng.SJLT, Sparsity: 9, Seed: 3},
@@ -381,7 +381,7 @@ func TestSketchRefRoundtrip(t *testing.T) {
 		D: 16,
 		Opts: core.Options{
 			Seed: 99, Dist: rng.SJLT, Source: rng.SourcePhilox,
-			Sparsity: 4, BlockD: 8, Workers: 3, Timed: true,
+			Sparsity: 4, BlockD: 8, Workers: 3,
 		},
 		ByRef: true,
 		Fp:    sparse.Fingerprint{M: 4096, N: 512, NNZ: 81920, Hash: 0x1234567890abcdef},

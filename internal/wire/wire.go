@@ -36,8 +36,8 @@
 //
 //	u64 seed | i64 algorithm | i64 dist | i64 source | i64 blockD |
 //	i64 blockN | i64 workers | i64 sched | i64 sparsity | f64 rngCost |
-//	u8 flags (bit0 Timed, bit1 TuneBlockN; sketch items add bit2 by-ref
-//	and bit3 placed)
+//	u8 flags (bit1 TuneBlockN; sketch items add bit2 by-ref and bit3
+//	placed; bit0 is retired and rejected)
 //
 // Sketch request and response (MsgSketchRequest / MsgSketchResponse,
 // sketch.go): one count-prefixed list of items covers a single sketch, a

@@ -246,11 +246,23 @@ func TestDecodeRejectsBrokenPayloads(t *testing.T) {
 			t.Errorf("sparsity %d: %v", sp, err)
 		}
 	}
-	// Flag bits past the four defined ones are rejected.
+	// Flag bits past bit 3 are rejected.
 	flagMut := append([]byte{}, req...)
 	flagMut[4+requestFixedSize-1] |= 16
 	if _, err := DecodeSketchRequest(flagMut); !errors.Is(err, ErrMalformed) {
 		t.Errorf("unknown item flag: %v", err)
+	}
+	// Bit 0 of the options flag byte is retired: a sender still setting it
+	// is malformed, on a sketch item and on a solve request alike.
+	bit0 := append([]byte{}, req...)
+	bit0[4+requestFixedSize-1] |= 1
+	if _, err := DecodeSketchRequest(bit0); !errors.Is(err, ErrMalformed) {
+		t.Errorf("retired options bit 0 on a sketch item: %v", err)
+	}
+	solve := AppendSolveRequest(nil, &SolveRequest{Method: SolveSAPQR, Gamma: 2, B: []float64{1}, A: a})
+	solve[solveFixedSize-9] |= 1
+	if _, err := DecodeSolveRequest(solve); !errors.Is(err, ErrMalformed) {
+		t.Errorf("retired options bit 0 on a solve request: %v", err)
 	}
 	// Unknown response status.
 	if _, err := DecodeSketchResponse([]byte{1, 0, 0, 0, 200, 0, 0, 0, 0}); !errors.Is(err, ErrMalformed) {
